@@ -32,7 +32,7 @@ from .ground import (
     Subfamily,
     ThreeVal,
     admissible,
-    subsets_canonical,
+    colex_key,
 )
 
 #: A pluggable solver: takes an index domain and a coloring, returns
@@ -71,9 +71,6 @@ class Coloring:
             return self._table[key]
         except KeyError:
             raise StructuralError(f"coloring is not defined on {key}") from None
-
-    def defined_on(self, indices) -> bool:
-        return tuple(sorted(indices)) in self._table
 
     def ensure_total(self, domain: tuple[int, ...]) -> None:
         for key in itertools.combinations(sorted(domain), self.arity):
@@ -117,11 +114,16 @@ class PartitionTree:
 
 @dataclass(frozen=True)
 class BranchResult:
-    """The pivots collected along a walked branch and the branch colors."""
+    """The pivots collected along a walked branch and the branch colors.
+
+    The walk runs over `domain` in increasing order: the pivot of level m is
+    domain[m-1], and colors[m-1] is the color kept at that level.
+    """
 
     family: Family
     pivots: tuple[int, ...]
     colors: tuple[int, ...]
+    domain: tuple[int, ...]
 
 
 def _split(family: Family, content: tuple[int, ...], pivot: int,
@@ -160,24 +162,26 @@ def build_partition_tree(family: Family, f: Coloring, depth: int) -> PartitionTr
     return PartitionTree(family, depth, tuple(nodes))
 
 
-def branch_walk(family: Family, f: Coloring) -> BranchResult:
+def branch_walk(family: Family, f: Coloring,
+                domain: Optional[tuple[int, ...]] = None) -> BranchResult:
     """Walk the pivot tree keeping the larger child (color 0 on ties).
 
-    Collects the pivots that are present in the node at their own level; the
-    walk ends when no index survives above the current level, which always
-    happens at a collected pivot, so the last pivot carries no color.
+    The tree is built over `domain` (default: the whole family), read in
+    place: level m pivots on the m-th smallest domain index.  Collects the
+    pivots that are present in the node at their own level; the walk ends
+    when no index survives above the current level, which always happens at
+    a collected pivot, so the last pivot carries no color.
     """
-    if f.arity != 2 or f.colors != 2:
+    if f.arity != 2 or f.colors > 2:
         raise ContractError("branch walk needs a 2-coloring of pairs")
-    content = family.indices
+    domain = family.indices if domain is None else tuple(sorted(domain))
+    content = domain
     pivots: list[int] = []
     colors: list[int] = []
-    m = 0
-    while content:
-        m += 1
-        if m in content:
-            pivots.append(m)
-        zero, one = _split(family, content, m, f)
+    for pivot in domain:
+        if pivot in content:
+            pivots.append(pivot)
+        zero, one = _split(family, content, pivot, f)
         if not zero and not one:
             break
         if len(one) > len(zero):
@@ -188,7 +192,7 @@ def branch_walk(family: Family, f: Coloring) -> BranchResult:
             content = zero
     if len(pivots) < 2:
         raise DegenerateError("family too small for a branch walk")
-    return BranchResult(family, tuple(pivots), tuple(colors))
+    return BranchResult(family, tuple(pivots), tuple(colors), domain)
 
 
 def extract_homogeneous(br: BranchResult, f: Coloring) -> tuple[Subfamily, int]:
@@ -198,9 +202,10 @@ def extract_homogeneous(br: BranchResult, f: Coloring) -> tuple[Subfamily, int]:
     data condition.
     """
     *colored, last = br.pivots
+    level = {index: m for m, index in enumerate(br.domain)}
     by_color: dict[int, list[int]] = {0: [], 1: []}
     for pivot in colored:
-        by_color[br.colors[pivot - 1]].append(pivot)
+        by_color[br.colors[level[pivot]]].append(pivot)
     color = 0 if len(by_color[0]) >= len(by_color[1]) else 1
     chosen = tuple(by_color[color]) + (last,)
     for pair in itertools.combinations(chosen, 2):
@@ -225,8 +230,7 @@ def _classical_pivot_walk(family: Family, f: Coloring,
         pivots.append(pivot)
         if not rest:
             break
-        zero = tuple(n for n in rest if f.of((pivot, n)) == 0)
-        one = tuple(n for n in rest if f.of((pivot, n)) == 1)
+        zero, one = _split(family, rest, pivot, f)
         if len(one) > len(zero):
             colors.append(1)
             pool = one
@@ -266,25 +270,60 @@ class PartitionResult:
 def _exhaustive_mono(family: Family, f: Coloring, domain: tuple[int, ...],
                      p: LargenessParams,
                      require_admissible: bool) -> Optional[tuple[tuple[int, ...], int]]:
-    """Largest monochromatic subset by full scan; admissible ones if asked.
+    """Largest monochromatic subset of the domain; admissible ones if asked.
 
-    Only callable on small domains.  Canonical order breaks size ties.
+    Monochromatic sets are closed under subsets, so they are grown one index
+    at a time in increasing order: an index joins when every (r-1)-subset of
+    the set so far, together with it, has the set's color.  Sets that are not
+    admissible are closed under subsets too, so a branch whose every set lies
+    inside one is cut.  Canonical order (size, then colex) breaks size ties.
+    Only callable on small domains.
     """
     if 2 ** len(domain) > EXHAUSTIVE_CAP:
         return None
-    floor = max(f.arity, p.min_size) if require_admissible else f.arity
+    r = f.arity
+    floor = max(r, p.min_size) if require_admissible else r
     best: Optional[tuple[tuple[int, ...], int]] = None
-    for combo in subsets_canonical(domain, min_size=floor):
-        if best is not None and len(combo) <= len(best[0]):
-            continue
-        tuples = list(itertools.combinations(combo, f.arity))
-        seen = {f.of(t) for t in tuples}
-        if len(seen) != 1:
-            continue
-        if require_admissible and \
-                admissible(Subfamily(family, combo), p) is not TRUE:
-            continue
-        best = (combo, seen.pop())
+
+    def is_admissible(indices: tuple[int, ...]) -> bool:
+        return admissible(Subfamily(family, indices), p) is TRUE
+
+    def target() -> int:
+        """The size a set must reach to be worth growing."""
+        return len(best[0]) if best else floor
+
+    def grow(chosen: tuple[int, ...], color: Optional[int],
+             joinable: list[int]) -> None:
+        nonlocal best
+        size = len(chosen)
+        if size >= floor and (best is None or (-size, colex_key(chosen)) <
+                              (-len(best[0]), colex_key(best[0]))) and \
+                (not require_admissible or is_admissible(chosen)):
+            best = (chosen, color)
+        if size + len(joinable) < target() or (
+                require_admissible and joinable and
+                not is_admissible(chosen + tuple(joinable))):
+            return
+        for pos, j in enumerate(joinable):
+            rest = joinable[pos + 1:]
+            if size + 1 + len(rest) < target():
+                break
+            grown = chosen + (j,)
+            if len(grown) < r:
+                grow(grown, None, rest)
+                continue
+            if len(grown) == r:
+                c = f.of(grown)
+                faces = list(itertools.combinations(grown, r - 1))
+            else:
+                # faces without j were checked when `joinable` was filtered
+                c = color
+                faces = [t + (j,) for t in itertools.combinations(chosen, r - 2)] \
+                    if r > 1 else []
+            grow(grown, c,
+                 [k for k in rest if all(f.of(t + (k,)) == c for t in faces)])
+
+    grow((), None, sorted(domain))
     return best
 
 
@@ -302,11 +341,9 @@ def _solve_pairs_2(family: Family, f: Coloring, p: LargenessParams,
     bound = pair_size_guarantee(len(domain))
 
     candidates: list[tuple[tuple[int, ...], int, str]] = []
-    view_family, back = _domain_view(family, domain)
     try:
-        br = branch_walk(view_family, _view_coloring(f, back))
-        chosen, color = extract_homogeneous(br, _view_coloring(f, back))
-        candidates.append((tuple(back[i] for i in chosen.indices), color, "branch"))
+        chosen, color = extract_homogeneous(branch_walk(family, f, domain), f)
+        candidates.append((chosen.indices, color, "branch"))
     except DegenerateError:
         pass
     if 2 ** len(domain) <= 4096:
@@ -332,40 +369,24 @@ def _solve_pairs_2(family: Family, f: Coloring, p: LargenessParams,
     return PartitionResult(sub, color, admissible(sub, p), route)
 
 
-def _domain_view(family: Family, domain: tuple[int, ...]
-                 ) -> tuple[Family, dict[int, int]]:
-    """A family made of the domain's members, plus position -> index map."""
-    members = tuple(family.member(i) for i in domain)
-    view = Family(family.universe, members)
-    back = {pos: idx for pos, idx in enumerate(domain, start=1)}
-    return view, back
-
-
-def _view_coloring(f: Coloring, back: dict[int, int]) -> Coloring:
-    table = {}
-    for pair in itertools.combinations(sorted(back), 2):
-        orig = tuple(sorted(back[i] for i in pair))
-        if f.defined_on(orig):
-            table[pair] = f.of(orig)
-    return Coloring(2, 2, table)
-
-
 def merge_colors_solve(family: Family, f: Coloring, base2solver: Solver,
                        p: LargenessParams,
-                       domain: Optional[tuple[int, ...]] = None
+                       domain: Optional[tuple[int, ...]] = None,
+                       fallback: bool = True
                        ) -> Optional[tuple[Subfamily, int]]:
     """Cut a many-color pair instance down to two colors by merging the top.
 
     The top two colors become one; the reduced instance is solved
     recursively, and when the merged color wins, the two-color solver reruns
     on the residual domain to split it back apart.  Output is verified
-    monochromatic and admissible.
+    monochromatic and admissible.  When the induction finds nothing, a
+    direct exhaustive scan answers instead, unless `fallback` is False.
     """
     if f.arity != 2:
         raise ContractError("color merging works on pair colorings")
     domain = family.indices if domain is None else tuple(sorted(domain))
     got = _merge_colors_inner(family, f, base2solver, p, domain)
-    if got is not None:
+    if got is not None or not fallback:
         return got
     # the induction can die on a residual domain that happens to lack an
     # admissible monochromatic set; the direct scan settles solvability
@@ -451,13 +472,16 @@ def project_solve(family: Family, f: Coloring, nsolver: Solver, n: int,
 
 def stepup_solve(family: Family, f: Coloring, nsolver: Solver, two,
                  innings: int, p: LargenessParams,
-                 domain: Optional[tuple[int, ...]] = None
+                 domain: Optional[tuple[int, ...]] = None,
+                 fallback: bool = True
                  ) -> Optional[tuple[Subfamily, int]]:
     """Lift an n-tuple solver to (n+1)-tuples by playing the selection game.
 
     Each inning ONE fixes the latest pick, homogenizes the coloring of the
     n-tuples completed by it, and plays the homogeneous pool; the picks whose
     recorded colors agree, past the first n of them, are the candidate output.
+    When the play faults or no color class is admissible, a direct
+    exhaustive scan answers instead, unless `fallback` is False.
     """
     from . import games
 
@@ -480,6 +504,8 @@ def stepup_solve(family: Family, f: Coloring, nsolver: Solver, two,
             sub = Subfamily.of(family, w)
             if admissible(sub, p) is TRUE and _verify_mono(f, sub.indices, i):
                 return sub, i
+    if not fallback:
+        return None
     # a faulted play or an inadmissible color class still leaves the instance
     # solvable at desk scale; the exhaustive net settles it either way
     got = _exhaustive_mono(family, f, domain, p, require_admissible=True)
@@ -599,18 +625,22 @@ def solve_partition(family: Family, f: Coloring, p: LargenessParams,
     if n == 2 and k == 2:
         return _solve_pairs_2(family, f, p)
     if n == 2:
-        got = merge_colors_solve(family, f, base2, p)
+        got = merge_colors_solve(family, f, base2, p, fallback=False)
         route = "merge"
     else:
-        got = stepup_solve(family, f, solve_arity(n - 1), two, innings, p)
+        got = stepup_solve(family, f, solve_arity(n - 1), two, innings, p,
+                           fallback=False)
         route = "stepup"
     if got is None:
+        # the reduction gave out: the direct scan answers, admissibly if it can
+        route = "exhaustive"
         direct = _exhaustive_mono(family, f, family.indices, p,
-                                  require_admissible=False)
+                                  require_admissible=True) or \
+            _exhaustive_mono(family, f, family.indices, p,
+                             require_admissible=False)
         if direct is None:
             return None
-        sub = Subfamily(family, direct[0])
-        return PartitionResult(sub, direct[1], admissible(sub, p), "exhaustive")
+        got = Subfamily(family, direct[0]), direct[1]
     sub, color = got
     return PartitionResult(sub, color, admissible(sub, p), route)
 

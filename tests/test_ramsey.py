@@ -27,6 +27,8 @@ from omegaramsey.ramsey import (
     LargenessFailure,
     NoStep,
     Step,
+    _exhaustive_mono,
+    _solve_pairs_2,
     pair_size_guarantee,
 )
 from omegaramsey import oracle
@@ -160,6 +162,116 @@ class TestExtract:
         br = branch_walk(fam, f)
         C, color = extract_homogeneous(br, f)
         assert len(C.indices) >= (len(br.pivots) - 1 + 1) // 2 + 1
+
+
+def view_branch(family, f, domain):
+    """Reference walk: renumber the domain as a family of its own, walk the
+    pivot tree there, and map the extracted class back to family indices."""
+    view = Family(family.universe, tuple(family.member(i) for i in domain))
+    g = Coloring(2, 2, {pair: f.of((domain[pair[0] - 1], domain[pair[1] - 1]))
+                        for pair in itertools.combinations(view.indices, 2)})
+    br = branch_walk(view, g)
+    C, color = extract_homogeneous(br, g)
+    return (tuple(domain[i - 1] for i in br.pivots), br.colors,
+            tuple(domain[i - 1] for i in C.indices), color)
+
+
+class TestDomainWalk:
+    def test_walk_in_place_matches_renumbered_view(self, big64, twelve6,
+                                                   p_pairs):
+        rng = random.Random(31)
+        branch_answers = 0
+        for family in (big64, twelve6):
+            n = len(family)
+            for _ in range(30):
+                f = random_coloring(n, 2, 2, rng)
+                domain = tuple(sorted(rng.sample(range(1, n + 1),
+                                                 rng.randint(2, n - 1))))
+                try:
+                    expected = view_branch(family, f, domain)
+                except DegenerateError:
+                    with pytest.raises(DegenerateError):
+                        branch_walk(family, f, domain)
+                    continue
+                br = branch_walk(family, f, domain)
+                C, color = extract_homogeneous(br, f)
+                assert (br.pivots, br.colors, C.indices, color) == expected
+                got = _solve_pairs_2(family, f, p_pairs, domain)
+                if got.route == "branch":
+                    branch_answers += 1
+                    assert (got.subfamily.indices, got.color) == expected[2:]
+        assert branch_answers >= 5
+
+    def test_default_domain_is_the_whole_family(self, big64):
+        f = random_coloring(64, 2, 2, random.Random(4))
+        assert branch_walk(big64, f) == branch_walk(big64, f, big64.indices)
+
+
+def growth_reference(family, f, p):
+    """Largest monochromatic subset of a domain, from the oracle's list:
+    the largest size (admissible sets only, when asked), then colex-first."""
+    found = oracle.brute_homogeneous(family, f, f.arity, f.colors, f.arity)
+
+    def run(domain, require_admissible):
+        sets = [(b, c) for b, c in found if set(b) <= set(domain) and
+                (not require_admissible or oracle._is_admissible(family, b, p))]
+        if not sets:
+            return None
+        return min(sets, key=lambda bc: (-len(bc[0]), tuple(reversed(bc[0]))))
+    return run
+
+
+class TestExhaustiveGrowth:
+    def test_matches_oracle_reference(self, twelve6):
+        rng = random.Random(41)
+        for trial in range(36):
+            arity, colors = 2 + trial % 3, 2 + (trial // 3) % 3
+            f = random_coloring(12, arity, colors, rng)
+            p = LargenessParams(d=rng.randint(1, 2),
+                                min_size=rng.randint(1, 5))
+            reference = growth_reference(twelve6, f, p)
+            for domain in (twelve6.indices,
+                           tuple(sorted(rng.sample(range(1, 13),
+                                                   rng.randint(arity, 11))))):
+                for require in (True, False):
+                    assert _exhaustive_mono(twelve6, f, domain, p, require) \
+                        == reference(domain, require)
+
+    @pytest.mark.parametrize("arity", [2, 3, 4])
+    def test_one_color_everywhere(self, twelve6, arity):
+        # the worst case for growth: every subset is monochromatic
+        f = constant_coloring(12, arity, 1, colors=3)
+        for min_size in (3, 13):
+            p = LargenessParams(d=2, min_size=min_size)
+            reference = growth_reference(twelve6, f, p)
+            for require in (True, False):
+                assert _exhaustive_mono(twelve6, f, twelve6.indices, p,
+                                        require) == \
+                    reference(twelve6.indices, require)
+
+
+class TestRoute:
+    @pytest.mark.parametrize("arity, colors, seed", [(3, 2, 0), (2, 3, 5)])
+    def test_fallback_answers_report_exhaustive(self, twelve6, p_pairs,
+                                                arity, colors, seed):
+        # the step-up play faults ("tuple solver found nothing") and the
+        # merge induction dies on a residual domain: the direct scan answers
+        f = random_coloring(12, arity, colors, random.Random(seed))
+        got = solve_partition(twelve6, f, p_pairs)
+        assert got.route == "exhaustive" and got.admissible is TRUE
+        assert (got.subfamily.indices, got.color) == \
+            _exhaustive_mono(twelve6, f, twelve6.indices, p_pairs, True)
+
+    def test_step_up_without_fallback_leaves_the_scan_to_the_caller(
+            self, twelve6, p_pairs):
+        f = random_coloring(12, 3, 2, random.Random(0))
+        solver = exhaustive_solver(twelve6, p_pairs)
+        assert stepup_solve(twelve6, f, solver, GreedyTwo(p_pairs), 8, p_pairs,
+                            fallback=False) is None
+        W, color = stepup_solve(twelve6, f, solver, GreedyTwo(p_pairs), 8,
+                                p_pairs)
+        assert (W.indices, color) == \
+            _exhaustive_mono(twelve6, f, twelve6.indices, p_pairs, True)
 
 
 class TestSolvePartition:
