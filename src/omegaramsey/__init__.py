@@ -52,15 +52,15 @@ from .ellentuck import (
 )
 from .games import (
     ConstantOne,
+    FusionOne,
     GreedyTwo,
     LeastIndexTwo,
+    MeagerAvoidOne,
+    RejectionOne,
     StrategyFault,
     Transcript,
     decide_all_finite,
-    fusion_one,
-    meager_avoid_one,
     play,
-    rejection_one,
     s1_select,
     two_wins,
 )

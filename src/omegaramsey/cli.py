@@ -45,6 +45,10 @@ def _load_json(path: str):
             return json.load(handle)
     except FileNotFoundError:
         raise ground.StructuralError(f"no such file: {path}")
+    except OSError as exc:
+        raise ground.StructuralError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ground.StructuralError(f"{path} is not UTF-8 text")
     except json.JSONDecodeError as exc:
         raise ground.StructuralError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: "
@@ -55,105 +59,105 @@ def canonical_dumps(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _params(args) -> ground.LargenessParams:
-    return ground.LargenessParams(d=args.d, min_size=args.minsize,
-                                  search_bound=args.search_bound)
-
-
 def _family(args) -> ground.Family:
     return ground.Family.from_json(_load_json(args.family))
 
 
-def _emit(args, command: str, result: dict, exit_code: int) -> int:
+def _basic_inputs(args):
+    """The stem, the reservoir (--sub, or the full tail past the stem) and the
+    region of an Ellentuck-style query."""
+    fam = _family(args)
+    stem = ellentuck.as_stem(args.stem)
+    if args.sub:
+        B = ground.Subfamily.from_json(_load_json(args.sub), fam)
+    else:
+        B = ellentuck.restrict(ground.Subfamily.full(fam), stem)
+    region = ellentuck.region_from_json(_load_json(args.region), fam)
+    return stem, B, region
+
+
+def _stems_partition(args, fam: ground.Family):
+    T = barriers.FiniteSetFamily.from_json(_load_json(args.stems), fam)
+    parts = [[tuple(s) for s in part] for part in _load_json(args.partition)]
+    return T, parts
+
+
+def _emit(args, result: dict) -> None:
     report = {
         "schema": REPORT_SCHEMA,
-        "command": command,
+        "command": args.command,
         "params": {"d": args.d, "minsize": args.minsize,
                    "searchBound": args.search_bound},
         "result": result,
     }
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         report["seed"] = args.seed
     if args.format == "json":
         sys.stdout.write(canonical_dumps(report))
     else:
-        sys.stdout.write(f"{command}: {json.dumps(result, sort_keys=True)}\n")
-    return exit_code
-
-
-def _three(v: ground.ThreeVal) -> str:
-    return v.value
+        sys.stdout.write(f"{args.command}: {json.dumps(result, sort_keys=True)}\n")
 
 
 # --- subcommand handlers -----------------------------------------------------
+#
+# Each handler loads its own inputs, runs one operation and returns the
+# report's result together with the exit code; run() writes the report.
 
-def _cmd_cover_check(args) -> int:
+def _cmd_cover_check(args, p):
     fam = _family(args)
     sub = ground.Subfamily.from_json(_load_json(args.sub), fam)
-    verdict = ground.check_d_omega_cover(sub, _params(args))
-    result = {"verdict": _three(verdict.status)}
+    verdict = ground.check_d_omega_cover(sub, p)
+    result = {"verdict": verdict.status.value}
     if verdict.witness is not None:
         result["witness"] = sorted(verdict.witness)
-    code = EXIT_NOT_FOUND if verdict.status is ground.UNKNOWN else EXIT_OK
-    return _emit(args, "cover-check", result, code)
+    return result, EXIT_NOT_FOUND if verdict.status is ground.UNKNOWN else EXIT_OK
 
 
-def _cmd_decide(args) -> int:
-    fam = _family(args)
-    p = _params(args)
-    stem = ellentuck.as_stem(args.stem)
-    if args.sub:
-        B = ground.Subfamily.from_json(_load_json(args.sub), fam)
-    else:
-        B = ellentuck.restrict(ground.Subfamily.full(fam), stem)
-    region = ellentuck.region_from_json(_load_json(args.region), fam)
-    outcome = ellentuck.decide(B, stem, region, p)
+def _verdict(outcome) -> dict:
+    """The verdict of a decide, cr-witness or nwd-witness outcome, with its
+    witness when there is one."""
     result = {"verdict": outcome.kind}
     if outcome.witness is not None:
         result["witness"] = outcome.witness.to_json()
-    code = EXIT_NOT_FOUND if outcome.kind == "unknown" else EXIT_OK
-    return _emit(args, "decide", result, code)
+    return result
 
 
-def _cmd_cr_witness(args) -> int:
-    fam = _family(args)
-    p = _params(args)
-    stem = ellentuck.as_stem(args.stem)
-    if args.sub:
-        B = ground.Subfamily.from_json(_load_json(args.sub), fam)
-    else:
-        B = ellentuck.restrict(ground.Subfamily.full(fam), stem)
-    region = ellentuck.region_from_json(_load_json(args.region), fam)
+def _cmd_decide(args, p):
+    stem, B, region = _basic_inputs(args)
+    outcome = ellentuck.decide(B, stem, region, p)
+    return _verdict(outcome), EXIT_NOT_FOUND if outcome.kind == "unknown" else EXIT_OK
+
+
+def _oracle_agrees(outcome: ellentuck.CrOutcome, region, stem,
+                   B: ground.Subfamily, p) -> bool:
+    """The oracle's check of the engine's own witness C: an admissible subset
+    of the reservoir with every admissible member of [stem, C] inside the
+    region ('inside') or outside it ('outside')."""
+    C = outcome.witness
+    if not set(C.indices) <= set(B.indices) or not oracle.brute_admissible(C, p):
+        return False
+    if outcome.kind == "outside":
+        region = ellentuck.ComplementRegion(region)
+    return oracle.brute_accepts(C, stem, region, p)
+
+
+def _cmd_cr_witness(args, p):
+    stem, B, region = _basic_inputs(args)
     outcome = ellentuck.cr_witness(region, stem, B, p, innings=args.innings,
                                    subset_cap=args.subset_cap)
-    result = {"verdict": outcome.kind}
-    if outcome.witness is not None:
-        result["witness"] = outcome.witness.to_json()
+    result = _verdict(outcome)
     if outcome.kind != "not_found" and len(B.indices) <= oracle.SIZE_LIMIT:
-        check = oracle.brute_cr(region, stem, B, p)
-        result["oracleAgrees"] = check is not None
-    code = EXIT_NOT_FOUND if outcome.kind == "not_found" else EXIT_OK
-    return _emit(args, "cr-witness", result, code)
+        result["oracleAgrees"] = _oracle_agrees(outcome, region, stem, B, p)
+    return result, EXIT_NOT_FOUND if outcome.kind == "not_found" else EXIT_OK
 
 
-def _cmd_nwd_witness(args) -> int:
-    fam = _family(args)
-    p = _params(args)
-    stem = ellentuck.as_stem(args.stem)
-    if args.sub:
-        B = ground.Subfamily.from_json(_load_json(args.sub), fam)
-    else:
-        B = ellentuck.restrict(ground.Subfamily.full(fam), stem)
-    region = ellentuck.region_from_json(_load_json(args.region), fam)
+def _cmd_nwd_witness(args, p):
+    stem, B, region = _basic_inputs(args)
     outcome = ellentuck.nwd_witness(region, stem, B, p)
-    result = {"verdict": outcome.kind}
-    if outcome.witness is not None:
-        result["witness"] = outcome.witness.to_json()
-    code = EXIT_NOT_FOUND if outcome.kind == "not_found" else EXIT_OK
-    return _emit(args, "nwd-witness", result, code)
+    return _verdict(outcome), EXIT_NOT_FOUND if outcome.kind == "not_found" else EXIT_OK
 
 
-def _one_strategy(args, fam, p):
+def _one_strategy(args, fam, p) -> games.OneStrategy:
     stem = ellentuck.as_stem(args.stem)
     base = ellentuck.restrict(ground.Subfamily.full(fam), stem)
     if args.one == "constant":
@@ -165,114 +169,91 @@ def _one_strategy(args, fam, p):
         if not args.region:
             raise ground.StructuralError("fusion strategy needs --region")
         region = ellentuck.region_from_json(_load_json(args.region), fam)
-        return games.fusion_one(stem, base, region, p, subset_cap=args.subset_cap)
-    if args.one == "meager":
-        if not args.ladder:
-            raise ground.StructuralError("avoidance strategy needs --ladder")
-        levels = tuple(ellentuck.region_from_json(r, fam)
-                       for r in _load_json(args.ladder))
-        ladder = ellentuck.MeagerPresentation(levels)
-        return games.meager_avoid_one(stem, base, ladder, p,
-                                      subset_cap=args.subset_cap)
-    raise ground.StructuralError(f"unknown ONE strategy {args.one!r}")
+        return games.FusionOne(stem, base, region, p, subset_cap=args.subset_cap)
+    if not args.ladder:
+        raise ground.StructuralError("avoidance strategy needs --ladder")
+    levels = tuple(ellentuck.region_from_json(r, fam)
+                   for r in _load_json(args.ladder))
+    ladder = ellentuck.MeagerPresentation(levels)
+    return games.MeagerAvoidOne(stem, base, ladder, p, subset_cap=args.subset_cap)
 
 
-def _cmd_play(args) -> int:
-    fam = _family(args)
-    p = _params(args)
-    one = _one_strategy(args, fam, p)
+def _cmd_play(args, p):
+    one = _one_strategy(args, _family(args), p)
     two = games.GreedyTwo(p) if args.two == "greedy" else games.LeastIndexTwo()
     try:
         transcript = games.play(one, two, args.innings, p)
     except games.StrategyFault as fault:
-        return _emit(args, "play",
-                     {"verdict": "fault", "inning": fault.inning,
-                      "reason": fault.reason}, EXIT_NOT_FOUND)
-    return _emit(args, "play", transcript.to_json(), EXIT_OK)
+        return ({"verdict": "fault", "inning": fault.inning,
+                 "reason": fault.reason}, EXIT_NOT_FOUND)
+    return transcript.to_json(), EXIT_OK
 
 
-def _cmd_s1_select(args) -> int:
+def _cmd_s1_select(args, p):
     fam = _family(args)
-    p = _params(args)
     covers = [ground.Subfamily.from_json(c, fam) for c in _load_json(args.covers)]
     got = games.s1_select(covers, p)
     if isinstance(got, games.Selection):
-        return _emit(args, "s1-select",
-                     {"verdict": "selection", "picks": list(got.indices)}, EXIT_OK)
-    return _emit(args, "s1-select",
-                 {"verdict": "not_found", "reason": got.reason}, EXIT_NOT_FOUND)
+        return {"verdict": "selection", "picks": list(got.indices)}, EXIT_OK
+    return {"verdict": "not_found", "reason": got.reason}, EXIT_NOT_FOUND
 
 
-def _cmd_ramsey_solve(args) -> int:
+def _cmd_ramsey_solve(args, p):
     fam = _family(args)
-    p = _params(args)
     coloring = ramsey.Coloring.from_json(_load_json(args.coloring), fam)
     got = ramsey.solve_partition(fam, coloring, p)
     if got is None:
-        return _emit(args, "ramsey-solve", {"verdict": "not_found"}, EXIT_NOT_FOUND)
+        return {"verdict": "not_found"}, EXIT_NOT_FOUND
     result = {"verdict": "solved", "set": got.subfamily.to_json(),
-              "color": got.color, "admissible": _three(got.admissible),
+              "color": got.color, "admissible": got.admissible.value,
               "route": got.route}
     if len(fam) <= oracle.SIZE_LIMIT:
         matches = oracle.brute_homogeneous(fam, coloring, coloring.arity,
                                            coloring.colors, len(got.subfamily))
         result["oracleVerified"] = (got.subfamily.indices, got.color) in matches
-    return _emit(args, "ramsey-solve", result, EXIT_OK)
+    return result, EXIT_OK
 
 
-def _cmd_tree_build(args) -> int:
+def _cmd_tree_build(args, p):
     fam = _family(args)
     coloring = ramsey.Coloring.from_json(_load_json(args.coloring), fam)
     tree = ramsey.build_partition_tree(fam, coloring, args.depth)
     nodes = {"".join(map(str, path)): list(content)
              for path, content in tree.nodes}
-    return _emit(args, "tree-build", {"depth": tree.depth, "nodes": nodes},
-                 EXIT_OK)
+    return {"depth": tree.depth, "nodes": nodes}, EXIT_OK
 
 
-def _cmd_nw(args) -> int:
-    fam = _family(args)
-    p = _params(args)
-    T = barriers.FiniteSetFamily.from_json(_load_json(args.stems), fam)
-    parts = [[tuple(s) for s in part] for part in _load_json(args.partition)]
-    got = barriers.nw_homogenize(T, parts, p)
+def _cmd_nw(args, p):
+    got = barriers.nw_homogenize(*_stems_partition(args, _family(args)), p)
     if got.kind != "homogeneous":
-        return _emit(args, "nw", {"verdict": "not_found"}, EXIT_NOT_FOUND)
-    return _emit(args, "nw", {"verdict": "homogeneous",
-                              "set": got.witness.to_json(),
-                              "part": got.part}, EXIT_OK)
+        return {"verdict": "not_found"}, EXIT_NOT_FOUND
+    return ({"verdict": "homogeneous", "set": got.witness.to_json(),
+             "part": got.part}, EXIT_OK)
 
 
-def _cmd_fg(args) -> int:
+def _cmd_fg(args, p):
     fam = _family(args)
-    p = _params(args)
     S = barriers.FiniteSetFamily.from_json(_load_json(args.stems), fam)
     got = barriers.fg_witness(S, p)
     if got.kind != "witness":
-        return _emit(args, "fg", {"verdict": "not_found"}, EXIT_NOT_FOUND)
-    return _emit(args, "fg", {"verdict": "witness",
-                              "set": got.witness.to_json()}, EXIT_OK)
+        return {"verdict": "not_found"}, EXIT_NOT_FOUND
+    return {"verdict": "witness", "set": got.witness.to_json()}, EXIT_OK
 
 
-def _cmd_mathias_check(args) -> int:
-    fam = _family(args)
-    cond = mathias.Condition.from_json(_load_json(args.condition), fam)
-    ok = mathias.valid_condition(cond, _params(args))
-    return _emit(args, "mathias-check", {"valid": ok}, EXIT_OK)
+def _cmd_mathias_check(args, p):
+    cond = mathias.Condition.from_json(_load_json(args.condition), _family(args))
+    return {"valid": mathias.valid_condition(cond, p)}, EXIT_OK
 
 
-def _cmd_mathias_extends(args) -> int:
+def _cmd_mathias_extends(args, p):
     fam = _family(args)
     c1 = mathias.Condition.from_json(_load_json(args.condition), fam)
     c2 = mathias.Condition.from_json(_load_json(args.weaker), fam)
-    return _emit(args, "mathias-extends",
-                 {"extends": mathias.extends(c1, c2)}, EXIT_OK)
+    return {"extends": mathias.extends(c1, c2)}, EXIT_OK
 
 
-def _cmd_mathias_meet(args) -> int:
-    fam = _family(args)
-    p = _params(args)
-    cond = mathias.Condition.from_json(_load_json(args.condition), fam)
+def _cmd_mathias_meet(args, p):
+    cond = mathias.Condition.from_json(_load_json(args.condition), _family(args))
     floor = args.min_stem_size
 
     def predicate(c: mathias.Condition) -> bool:
@@ -280,60 +261,48 @@ def _cmd_mathias_meet(args) -> int:
 
     got = mathias.dense_meet(cond, predicate, p)
     if got is None:
-        return _emit(args, "mathias-meet", {"verdict": "not_found"},
-                     EXIT_NOT_FOUND)
-    return _emit(args, "mathias-meet",
-                 {"verdict": "met", "condition": got.to_json()}, EXIT_OK)
+        return {"verdict": "not_found"}, EXIT_NOT_FOUND
+    return {"verdict": "met", "condition": got.to_json()}, EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle_accepts(args, p):
+    stem, B, region = _basic_inputs(args)
+    return {"accepts": oracle.brute_accepts(B, stem, region, p)}, EXIT_OK
+
+
+def _cmd_oracle_rejects(args, p):
+    stem, B, region = _basic_inputs(args)
+    return {"rejects": oracle.brute_rejects(B, stem, region, p)}, EXIT_OK
+
+
+def _cmd_oracle_cr(args, p):
+    stem, B, region = _basic_inputs(args)
+    got = oracle.brute_cr(region, stem, B, p)
+    if got is None:
+        return {"verdict": "none"}, EXIT_NOT_FOUND
+    return {"verdict": got[0], "witness": got[1].to_json()}, EXIT_OK
+
+
+def _cmd_oracle_homogeneous(args, p):
     fam = _family(args)
-    p = _params(args)
-    which = args.oracle_op
-    if which in ("accepts", "rejects", "cr"):
-        stem = ellentuck.as_stem(args.stem)
-        if args.sub:
-            B = ground.Subfamily.from_json(_load_json(args.sub), fam)
-        else:
-            B = ellentuck.restrict(ground.Subfamily.full(fam), stem)
-        region = ellentuck.region_from_json(_load_json(args.region), fam)
-        if which == "accepts":
-            return _emit(args, "oracle-accepts",
-                         {"accepts": oracle.brute_accepts(B, stem, region, p)},
-                         EXIT_OK)
-        if which == "rejects":
-            return _emit(args, "oracle-rejects",
-                         {"rejects": oracle.brute_rejects(B, stem, region, p)},
-                         EXIT_OK)
-        got = oracle.brute_cr(region, stem, B, p)
-        if got is None:
-            return _emit(args, "oracle-cr", {"verdict": "none"}, EXIT_NOT_FOUND)
-        return _emit(args, "oracle-cr",
-                     {"verdict": got[0], "witness": got[1].to_json()}, EXIT_OK)
-    if which == "homogeneous":
-        coloring = ramsey.Coloring.from_json(_load_json(args.coloring), fam)
-        found = oracle.brute_homogeneous(fam, coloring, coloring.arity,
-                                         coloring.colors, args.min_set_size)
-        return _emit(args, "oracle-homogeneous",
-                     {"count": len(found),
-                      "sets": [[list(b), c] for b, c in found]}, EXIT_OK)
-    if which == "nw":
-        T = barriers.FiniteSetFamily.from_json(_load_json(args.stems), fam)
-        parts = [[tuple(s) for s in part] for part in _load_json(args.partition)]
-        found = oracle.brute_nw(T, parts, p)
-        return _emit(args, "oracle-nw",
-                     {"count": len(found),
-                      "pairs": [[list(b), i] for b, i in found]}, EXIT_OK)
-    raise ground.StructuralError(f"unknown oracle operation {which!r}")
+    coloring = ramsey.Coloring.from_json(_load_json(args.coloring), fam)
+    found = oracle.brute_homogeneous(fam, coloring, coloring.arity,
+                                     coloring.colors, args.min_set_size)
+    return ({"count": len(found), "sets": [[list(b), c] for b, c in found]},
+            EXIT_OK)
 
 
-def _cmd_suite(args) -> int:
+def _cmd_oracle_nw(args, p):
+    found = oracle.brute_nw(*_stems_partition(args, _family(args)), p)
+    return ({"count": len(found), "pairs": [[list(b), i] for b, i in found]},
+            EXIT_OK)
+
+
+def _cmd_suite(args, p):
     """A compact deterministic battery: pair solving plus decide-vs-oracle."""
     if args.seed is None:
         raise ground.StructuralError("suite needs an explicit --seed")
     rng = random.Random(args.seed)
-    p = ground.LargenessParams(d=args.d, min_size=args.minsize,
-                               search_bound=args.search_bound)
     cases = 0
     failures = []
 
@@ -413,7 +382,7 @@ def _cmd_suite(args) -> int:
             failures.append("homogenization missed a solvable partition")
 
     result = {"cases": cases, "failures": failures, "pass": not failures}
-    return _emit(args, "suite", result, EXIT_OK if not failures else EXIT_NOT_FOUND)
+    return result, EXIT_OK if not failures else EXIT_NOT_FOUND
 
 
 # --- argument wiring ----------------------------------------------------------
@@ -438,36 +407,37 @@ def _add_stem_region(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--region", required=True, help="region JSON file")
 
 
+def _command(sub, name: str, handler, help: str,
+             family: bool = True) -> argparse.ArgumentParser:
+    sp = sub.add_parser(name, help=help)
+    _add_common(sp, family)
+    sp.set_defaults(handler=handler)
+    return sp
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omegaramsey",
         description="Finite engine for cover-family Ramsey combinatorics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("cover-check", help="depth-d cover check")
-    _add_common(sp)
+    sp = _command(sub, "cover-check", _cmd_cover_check, "depth-d cover check")
     sp.add_argument("--sub", required=True)
-    sp.set_defaults(handler=_cmd_cover_check)
 
-    sp = sub.add_parser("decide", help="accept-or-reject search")
-    _add_common(sp)
-    _add_stem_region(sp)
-    sp.set_defaults(handler=_cmd_decide)
+    _add_stem_region(_command(sub, "decide", _cmd_decide,
+                              "accept-or-reject search"))
 
-    sp = sub.add_parser("cr-witness", help="inside/outside witness search")
-    _add_common(sp)
+    sp = _command(sub, "cr-witness", _cmd_cr_witness,
+                  "inside/outside witness search")
     _add_stem_region(sp)
     sp.add_argument("--innings", type=int, default=4)
     sp.add_argument("--subset-cap", dest="subset_cap", type=int, default=3)
-    sp.set_defaults(handler=_cmd_cr_witness)
 
-    sp = sub.add_parser("nwd-witness", help="avoidance witness search")
-    _add_common(sp)
-    _add_stem_region(sp)
-    sp.set_defaults(handler=_cmd_nwd_witness)
+    _add_stem_region(_command(sub, "nwd-witness", _cmd_nwd_witness,
+                              "avoidance witness search"))
 
-    sp = sub.add_parser("play", help="run a bounded play of the selection game")
-    _add_common(sp)
+    sp = _command(sub, "play", _cmd_play,
+                  "run a bounded play of the selection game")
     sp.add_argument("--one", choices=("constant", "fusion", "meager"),
                     required=True)
     sp.add_argument("--two", choices=("greedy", "least"), default="greedy")
@@ -478,72 +448,57 @@ def build_parser() -> argparse.ArgumentParser:
                     help="move JSON for the constant strategy")
     sp.add_argument("--region", help="region JSON for the fusion strategy")
     sp.add_argument("--ladder", help="JSON list of regions for avoidance")
-    sp.set_defaults(handler=_cmd_play)
 
-    sp = sub.add_parser("s1-select", help="one pick per cover, admissible union")
-    _add_common(sp)
+    sp = _command(sub, "s1-select", _cmd_s1_select,
+                  "one pick per cover, admissible union")
     sp.add_argument("--covers", required=True,
                     help="JSON list of subfamily index arrays")
-    sp.set_defaults(handler=_cmd_s1_select)
 
-    sp = sub.add_parser("ramsey-solve", help="find a monochromatic subfamily")
-    _add_common(sp)
+    sp = _command(sub, "ramsey-solve", _cmd_ramsey_solve,
+                  "find a monochromatic subfamily")
     sp.add_argument("--coloring", required=True)
-    sp.set_defaults(handler=_cmd_ramsey_solve)
 
-    sp = sub.add_parser("tree-build", help="materialize the pivot tree")
-    _add_common(sp)
+    sp = _command(sub, "tree-build", _cmd_tree_build, "materialize the pivot tree")
     sp.add_argument("--coloring", required=True)
     sp.add_argument("--depth", type=int, default=4)
-    sp.set_defaults(handler=_cmd_tree_build)
 
-    sp = sub.add_parser("nw", help="homogenize a partition of a thin family")
-    _add_common(sp)
+    sp = _command(sub, "nw", _cmd_nw, "homogenize a partition of a thin family")
     sp.add_argument("--stems", required=True)
     sp.add_argument("--partition", required=True)
-    sp.set_defaults(handler=_cmd_nw)
 
-    sp = sub.add_parser("fg", help="initial-segment witness for a dense family")
-    _add_common(sp)
+    sp = _command(sub, "fg", _cmd_fg, "initial-segment witness for a dense family")
     sp.add_argument("--stems", required=True)
-    sp.set_defaults(handler=_cmd_fg)
 
-    sp = sub.add_parser("mathias-check", help="validate a condition")
-    _add_common(sp)
+    sp = _command(sub, "mathias-check", _cmd_mathias_check, "validate a condition")
     sp.add_argument("--condition", required=True)
-    sp.set_defaults(handler=_cmd_mathias_check)
 
-    sp = sub.add_parser("mathias-extends", help="test the extension order")
-    _add_common(sp)
+    sp = _command(sub, "mathias-extends", _cmd_mathias_extends,
+                  "test the extension order")
     sp.add_argument("--condition", required=True)
     sp.add_argument("--weaker", required=True)
-    sp.set_defaults(handler=_cmd_mathias_extends)
 
-    sp = sub.add_parser("mathias-meet", help="meet a stem-size requirement")
-    _add_common(sp)
+    sp = _command(sub, "mathias-meet", _cmd_mathias_meet,
+                  "meet a stem-size requirement")
     sp.add_argument("--condition", required=True)
     sp.add_argument("--min-stem-size", dest="min_stem_size", type=int,
                     required=True)
-    sp.set_defaults(handler=_cmd_mathias_meet)
 
-    for op in ("accepts", "rejects", "cr", "homogeneous", "nw"):
-        sp = sub.add_parser(f"oracle-{op}", help=f"brute-force {op} evaluation")
-        _add_common(sp)
-        sp.set_defaults(handler=_cmd_oracle, oracle_op=op)
-        if op in ("accepts", "rejects", "cr"):
-            _add_stem_region(sp)
-        elif op == "homogeneous":
-            sp.add_argument("--coloring", required=True)
-            sp.add_argument("--min-set-size", dest="min_set_size", type=int,
-                            default=1)
-        else:
-            sp.add_argument("--stems", required=True)
-            sp.add_argument("--partition", required=True)
+    for op, handler in (("accepts", _cmd_oracle_accepts),
+                        ("rejects", _cmd_oracle_rejects),
+                        ("cr", _cmd_oracle_cr)):
+        _add_stem_region(_command(sub, f"oracle-{op}", handler,
+                                  f"brute-force {op} evaluation"))
+    sp = _command(sub, "oracle-homogeneous", _cmd_oracle_homogeneous,
+                  "brute-force homogeneous evaluation")
+    sp.add_argument("--coloring", required=True)
+    sp.add_argument("--min-set-size", dest="min_set_size", type=int, default=1)
+    sp = _command(sub, "oracle-nw", _cmd_oracle_nw, "brute-force nw evaluation")
+    sp.add_argument("--stems", required=True)
+    sp.add_argument("--partition", required=True)
 
-    sp = sub.add_parser("suite", help="compact deterministic check battery")
-    _add_common(sp, family=False)
+    sp = _command(sub, "suite", _cmd_suite, "compact deterministic check battery",
+                  family=False)
     sp.add_argument("--cases", type=int, default=20)
-    sp.set_defaults(handler=_cmd_suite)
 
     return parser
 
@@ -555,9 +510,11 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
-        if getattr(args, "search_bound", None) is None:
+        if args.search_bound is None:
             args.search_bound = default_search_bound()
-        return args.handler(args)
+        p = ground.LargenessParams(d=args.d, min_size=args.minsize,
+                                   search_bound=args.search_bound)
+        result, code = args.handler(args, p)
     except (ground.StructuralError, ground.ContractError,
             ground.DegenerateError, oracle.OracleSizeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -565,6 +522,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     except ground.EngineError as exc:
         sys.stderr.write(f"engine error: {exc}\n")
         return EXIT_ERROR
+    _emit(args, result)
+    return code
 
 
 def main() -> None:

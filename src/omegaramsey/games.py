@@ -497,18 +497,3 @@ class MeagerAvoidOne(OneStrategy):
     def certificates(self, state, picks):
         return tuple(state["claims"])
 
-
-def fusion_one(t: Stem, B: Subfamily, R: Region, p: LargenessParams,
-               subset_cap: int = DEFAULT_SUBSET_CAP) -> FusionOne:
-    return FusionOne(t, B, R, p, subset_cap=subset_cap)
-
-
-def rejection_one(s: Stem, B: Subfamily, R: Region, p: LargenessParams,
-                  subset_cap: int = DEFAULT_SUBSET_CAP) -> RejectionOne:
-    return RejectionOne(s, B, R, p, subset_cap=subset_cap)
-
-
-def meager_avoid_one(s: Stem, B: Subfamily, ladder: MeagerPresentation,
-                     p: LargenessParams,
-                     subset_cap: int = DEFAULT_SUBSET_CAP) -> MeagerAvoidOne:
-    return MeagerAvoidOne(s, B, ladder, p, subset_cap=subset_cap)

@@ -158,7 +158,10 @@ class Family:
     def from_json(cls, data: dict) -> "Family":
         if not isinstance(data, dict) or "universe" not in data or "members" not in data:
             raise StructuralError("family JSON needs 'universe' and 'members'")
-        return cls.of(data["universe"], data["members"])
+        try:
+            return cls.of(data["universe"], data["members"])
+        except TypeError as exc:
+            raise StructuralError(f"malformed family JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -202,7 +205,10 @@ class Subfamily:
     def from_json(cls, data: list, family: Family) -> "Subfamily":
         if not isinstance(data, list):
             raise StructuralError("subfamily JSON must be an index array")
-        return cls.of(family, data)
+        try:
+            return cls.of(family, data)
+        except TypeError as exc:
+            raise StructuralError(f"malformed subfamily JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)

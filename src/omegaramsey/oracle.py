@@ -53,6 +53,12 @@ def _is_admissible(family: Family, indices: tuple[int, ...],
     return ok
 
 
+def brute_admissible(sub: Subfamily, p: LargenessParams) -> bool:
+    """Is the subfamily admissible: the size gate and every point set of size
+    at most d inside one of its members?"""
+    return _is_admissible(sub.family, sub.indices, p)
+
+
 def _subsets(pool: Sequence[int]):
     pool = sorted(pool)
     for size in range(len(pool) + 1):

@@ -25,6 +25,7 @@ from omegaramsey import (
     IntersectionRegion,
     LargenessParams,
     MeagerPresentation,
+    RejectionOne,
     StrategyFault,
     Subfamily,
     TRUE,
@@ -36,7 +37,6 @@ from omegaramsey import (
     is_nowhere_dense,
     nw_homogenize,
     play,
-    rejection_one,
     restrict,
     solve_partition,
 )
@@ -283,7 +283,7 @@ class TestAcceptance:
             if dict(got.table).get(()) != "rejects":
                 continue
             try:
-                strategy = rejection_one((), got.picks, region, GRID_P)
+                strategy = RejectionOne((), got.picks, region, GRID_P)
                 transcript = play(strategy, GreedyTwo(GRID_P), 2, GRID_P)
             except (StrategyFault, ContractError):
                 continue

@@ -1,8 +1,11 @@
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
+from omegaramsey import Subfamily, ellentuck
 from omegaramsey.cli import (
     EXIT_ERROR,
     EXIT_NOT_FOUND,
@@ -67,6 +70,45 @@ class TestErrors:
         assert code == EXIT_ERROR
 
 
+def _malformed_inputs(tmp_path, case):
+    """argv for one bad input; every other input is a valid fixture."""
+    if case == "members-not-a-list":
+        family = tmp_path / "family.json"
+        family.write_text('{"universe": 6, "members": 5}')
+        return ["cover-check", "--family", str(family), "--sub", fx("sub_quads_all.json")]
+    if case == "nested-sub":
+        sub = tmp_path / "sub.json"
+        sub.write_text("[[1, 2], [3]]")
+        return ["cover-check", "--family", fx("family_quads6.json"), "--sub", str(sub)]
+    if case == "directory-as-family":
+        return ["cover-check", "--family", str(tmp_path), "--sub", fx("sub_quads_all.json")]
+    if case == "not-utf8":
+        family = tmp_path / "family.json"
+        family.write_bytes(b'{"universe": 6, "members": [["\xff"]]}')
+        return ["cover-check", "--family", str(family), "--sub", fx("sub_quads_all.json")]
+    tree = ["--family", fx("family_tree4.json"), "--coloring", fx("coloring_tree4.json")]
+    if case == "tree-build-d0":
+        return ["tree-build"] + tree + ["--d", "0"]
+    assert case == "mathias-extends-d0"
+    return ["mathias-extends", "--family", fx("family_twelve6.json"),
+            "--condition", fx("condition_a.json"), "--weaker", fx("condition_b.json"),
+            "--d", "0"]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", [
+        "members-not-a-list", "nested-sub", "directory-as-family", "not-utf8",
+        "tree-build-d0", "mathias-extends-d0"])
+    def test_one_error_line_and_exit_one(self, tmp_path, case):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(_malformed_inputs(tmp_path, case))
+        assert code == EXIT_ERROR
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 class TestDecideAndWitnesses:
     def test_decide(self):
         code, out = invoke(["decide", "--family", fx("family_grid5.json"),
@@ -83,6 +125,23 @@ class TestDecideAndWitnesses:
         result = json.loads(out)["result"]
         assert result["verdict"] in ("inside", "outside")
         assert result["oracleAgrees"] is True
+
+    @pytest.mark.parametrize("kind,witness,stem", [
+        ("inside", [2, 3, 4, 5, 6, 7], []),        # [(), C] leaves the region
+        ("outside", [2, 3], []),                   # too small to be admissible
+        ("outside", [1, 2, 3, 4, 5, 6, 7], ["1"]),  # not inside the tail past 1
+    ])
+    def test_oracle_checks_the_engines_own_witness(self, monkeypatch, kind,
+                                                   witness, stem):
+        def wrong(R, s, B, p, **_):
+            return ellentuck.CrOutcome(kind, Subfamily.of(B.family, witness))
+
+        monkeypatch.setattr(ellentuck, "cr_witness", wrong)
+        code, out = invoke(["cr-witness", "--family", fx("family_grid5.json"),
+                            "--region", fx("region_basic_grid.json"),
+                            "--d", "1", "--minsize", "3", "--stem"] + stem)
+        assert code == EXIT_OK
+        assert json.loads(out)["result"]["oracleAgrees"] is False
 
     def test_nwd_witness_contract_failure(self):
         # an everywhere-dense region is a contract violation, exit 1
