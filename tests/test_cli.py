@@ -70,39 +70,33 @@ class TestErrors:
         assert code == EXIT_ERROR
 
 
-def _malformed_inputs(tmp_path, case):
-    """argv for one bad input; every other input is a valid fixture."""
-    if case == "members-not-a-list":
-        family = tmp_path / "family.json"
-        family.write_text('{"universe": 6, "members": 5}')
-        return ["cover-check", "--family", str(family), "--sub", fx("sub_quads_all.json")]
-    if case == "nested-sub":
-        sub = tmp_path / "sub.json"
-        sub.write_text("[[1, 2], [3]]")
-        return ["cover-check", "--family", fx("family_quads6.json"), "--sub", str(sub)]
-    if case == "directory-as-family":
-        return ["cover-check", "--family", str(tmp_path), "--sub", fx("sub_quads_all.json")]
-    if case == "not-utf8":
-        family = tmp_path / "family.json"
-        family.write_bytes(b'{"universe": 6, "members": [["\xff"]]}')
-        return ["cover-check", "--family", str(family), "--sub", fx("sub_quads_all.json")]
-    tree = ["--family", fx("family_tree4.json"), "--coloring", fx("coloring_tree4.json")]
-    if case == "tree-build-d0":
-        return ["tree-build"] + tree + ["--d", "0"]
-    assert case == "mathias-extends-d0"
-    return ["mathias-extends", "--family", fx("family_twelve6.json"),
-            "--condition", fx("condition_a.json"), "--weaker", fx("condition_b.json"),
-            "--d", "0"]
+#: where a malformed case puts the path of its bad input
+BAD = "<bad>"
+SUB = ["--sub", fx("sub_quads_all.json")]
+TREE = ["--family", fx("family_tree4.json"), "--coloring", fx("coloring_tree4.json")]
 
 
 class TestMalformedInput:
-    @pytest.mark.parametrize("case", [
-        "members-not-a-list", "nested-sub", "directory-as-family", "not-utf8",
-        "tree-build-d0", "mathias-extends-d0"])
-    def test_one_error_line_and_exit_one(self, tmp_path, case):
+    @pytest.mark.parametrize("content,argv", [
+        (b'{"universe": 6, "members": 5}', ["cover-check", "--family", BAD] + SUB),
+        (b"[[1, 2], [3]]",
+         ["cover-check", "--family", fx("family_quads6.json"), "--sub", BAD]),
+        (None, ["cover-check", "--family", BAD] + SUB),   # a directory
+        (b'{"universe": 6, "members": [["\xff"]]}', ["cover-check", "--family", BAD] + SUB),
+        (None, ["tree-build"] + TREE + ["--d", "0"]),
+        (None, ["mathias-extends", "--family", fx("family_twelve6.json"),
+                "--condition", fx("condition_a.json"),
+                "--weaker", fx("condition_b.json"), "--d", "0"]),
+    ], ids=["members-not-a-list", "nested-sub", "directory-as-family", "not-utf8",
+            "tree-build-d0", "mathias-extends-d0"])
+    def test_one_error_line_and_exit_one(self, tmp_path, content, argv):
+        bad = tmp_path
+        if content is not None:
+            bad = tmp_path / "bad.json"
+            bad.write_bytes(content)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = run(_malformed_inputs(tmp_path, case))
+            code = run([str(bad) if a == BAD else a for a in argv])
         assert code == EXIT_ERROR
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
