@@ -1,12 +1,31 @@
+"""Thin and dense stem families, fg witnesses and Nash-Williams homogenization.
+
+Besides the unit tests, a golden battery pins is_thin, is_dense, fg_witness
+and nw_homogenize (outcome or error) on seeded small cases, so a rewrite of
+the searches that changes any witness, part index or error shows up as a
+diff.  The expected results live in tests/golden/barriers.json.  After an
+intended change of results, rewrite them from the repository root with
+
+    PYTHONPATH=src python tests/test_barriers.py
+
+and review the diff.
+"""
+
 import itertools
+import json
+import random
+from pathlib import Path
 
 import pytest
 
 from omegaramsey import (
     Coloring,
     ContractError,
+    EngineError,
     FALSE,
+    Family,
     FiniteSetFamily,
+    LargenessParams,
     StructuralError,
     Subfamily,
     TRUE,
@@ -190,3 +209,117 @@ class TestRamseyViaNw:
             B, color = got
             assert all(f.of((i,)) == color for i in B.indices)
             assert admissible(B, p_grid) is TRUE
+
+
+# --- golden battery ------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "barriers.json"
+
+
+def _random_case(rng: random.Random) -> dict:
+    """A 5-10-member family, small params, a stem family and 0-4 parts.
+
+    Half the stem families are all r-sets of indices (thin, dense when r is at
+    most min_size); the rest are random 1-3-sets, often not thin or dense.
+    Stems are dealt to the parts at random, so some parts stay empty.
+    """
+    u = rng.randint(4, 6)
+    members = [sorted(rng.sample(range(1, u + 1), rng.randint(u - 2, u - 1)))
+               for _ in range(rng.randint(5, 10))]
+    indices = range(1, len(members) + 1)
+    if rng.random() < 0.5:
+        stems = list(itertools.combinations(indices, rng.randint(1, 3)))
+    else:
+        pool = [c for r in (1, 2, 3) for c in itertools.combinations(indices, r)]
+        stems = sorted(rng.sample(pool, rng.randint(0, 8)))
+    k = rng.randint(0, 4)
+    parts = [[] for _ in range(k)]
+    if k:
+        for s in stems:
+            parts[rng.randrange(k)].append(s)
+    return {"universe": u, "members": members, "d": rng.randint(1, 2),
+            "min_size": rng.randint(1, 4), "stems": stems, "parts": parts}
+
+
+def golden_cases() -> dict:
+    rng = random.Random(5)
+    cases = {f"random-{i:03d}": _random_case(rng) for i in range(200)}
+    eight = [[1, 2, 3], [3, 4, 5], [1, 4, 5], [2, 4, 5], [1, 2, 5], [2, 3, 4],
+             [1, 3, 4], [2, 3, 5]]
+    cases["empty-stems-no-parts"] = {
+        "universe": 5, "members": eight, "d": 1, "min_size": 3,
+        "stems": [], "parts": []}
+    # part 0 is peeled off into the domain (1, 2, 3, 4), where part 2 is dense;
+    # its fg witness (1, 2, 3, 4) holds the stem (3,) of part 3, so the
+    # constructive path gives up and the fallback scan answers with part 2
+    cases["fallback-answers"] = {
+        "universe": 4, "d": 1, "min_size": 4,
+        "members": [[1, 2, 3], [3, 4], [1, 2, 3], [2, 3, 4], [1, 2, 4], [1, 2, 3],
+                    [1, 2, 4], [2, 3, 4], [1, 2, 4], [2, 3, 4]],
+        "stems": [(i,) for i in range(1, 11)],
+        "parts": [[(6,)], [], [(1,), (2,), (4,), (7,), (8,), (10,)], [(3,), (5,), (9,)]]}
+    cases["over-16-members"] = {
+        "universe": 5, "d": 1, "min_size": 3,
+        "members": [list(c) for c in itertools.combinations(range(1, 6), 3)]
+        + [list(c) for c in itertools.combinations(range(1, 6), 4)] + [[1, 2], [3, 4]],
+        "stems": [(i,) for i in range(1, 18)],
+        "parts": [[(i,) for i in range(1, 18) if i % 2],
+                  [(i,) for i in range(1, 18) if not i % 2]]}
+    return cases
+
+
+def _outcome(call):
+    try:
+        return call()
+    except EngineError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _indices(sub):
+    return None if sub is None else list(sub.indices)
+
+
+def barrier_results(case: dict) -> dict:
+    family = Family.of(case["universe"], case["members"])
+    p = LargenessParams(d=case["d"], min_size=case["min_size"])
+    T = FiniteSetFamily.of(family, case["stems"])
+
+    def fg():
+        got = fg_witness(T, p)
+        return {"kind": got.kind, "witness": _indices(got.witness)}
+
+    def nw():
+        got = nw_homogenize(T, case["parts"], p)
+        return {"kind": got.kind, "witness": _indices(got.witness), "part": got.part}
+
+    return {"is_thin": is_thin(T), "is_dense": is_dense(T, p).value,
+            "fg_witness": _outcome(fg), "nw_homogenize": _outcome(nw)}
+
+
+def _record(case: dict) -> dict:
+    return json.loads(json.dumps(barrier_results(case)))
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_every_golden_case_is_recorded(golden):
+    assert sorted(golden) == sorted(golden_cases())
+
+
+@pytest.mark.parametrize("name", sorted(golden_cases()))
+def test_barrier_results_match_golden(name, golden):
+    assert _record(golden_cases()[name]) == golden[name]
+
+
+def write_golden() -> None:
+    records = {name: _record(case) for name, case in golden_cases().items()}
+    lines = [f"{json.dumps(name)}: {json.dumps(rec, sort_keys=True)}"
+             for name, rec in sorted(records.items())]
+    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    write_golden()
