@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .ground import (
     EXHAUSTIVE_CAP,
@@ -67,12 +66,10 @@ def is_initial_segment(s: Stem, t: Stem) -> bool:
 
 
 def is_thin(T: FiniteSetFamily) -> bool:
-    """No stem is an initial segment of a different stem."""
+    """No stem is an initial segment of a different stem.  In sorted order a
+    stem's extensions follow it directly, so its successor is the one to check."""
     stems = sorted(T.stems)
-    for s, t in itertools.permutations(stems, 2):
-        if is_initial_segment(s, t):
-            return False
-    return True
+    return not any(is_initial_segment(s, t) for s, t in zip(stems, stems[1:]))
 
 
 def partition_of(T: FiniteSetFamily, parts: Sequence) -> tuple[frozenset[Stem], ...]:
@@ -88,37 +85,31 @@ def partition_of(T: FiniteSetFamily, parts: Sequence) -> tuple[frozenset[Stem], 
     return tuple(normalized)
 
 
-@lru_cache(maxsize=None)
-def _full_admissible(family: Family, p: LargenessParams) -> tuple[tuple[int, ...], ...]:
-    return admissible_subsets(Subfamily.full(family), p)
-
-
-def _has_stem_inside(stems: frozenset[Stem], b: tuple[int, ...]) -> bool:
-    b_set = set(b)
-    return any(set(s) <= b_set for s in stems)
-
-
-def is_dense(S: FiniteSetFamily, p: LargenessParams) -> ThreeVal:
-    """Does every admissible subfamily contain some stem of S as a subset?"""
-    if 2 ** len(S.family) > min(p.search_bound, EXHAUSTIVE_CAP):
-        return UNKNOWN
-    for b in _full_admissible(S.family, p):
-        if not _has_stem_inside(S.stems, b):
-            return FALSE
-    return TRUE
+def _admissible_in(family: Family, p: LargenessParams,
+                   domain: Optional[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """The admissible sets of the family inside domain (all when None), in
+    canonical order.  Raises EngineError on families over 16 members."""
+    subs = admissible_subsets(Subfamily.full(family), p)
+    dom = None if domain is None else set(domain)
+    yield from subs if dom is None else (b for b in subs if dom.issuperset(b))
 
 
 def _density_counterexample(S: FiniteSetFamily, p: LargenessParams,
                             domain: Optional[tuple[int, ...]]
                             ) -> Optional[tuple[int, ...]]:
     """First admissible set (within domain) containing no stem of S."""
-    dom = None if domain is None else set(domain)
-    for b in _full_admissible(S.family, p):
-        if dom is not None and not set(b) <= dom:
-            continue
-        if not _has_stem_inside(S.stems, b):
+    for b in _admissible_in(S.family, p, domain):
+        b_set = set(b)
+        if not any(b_set.issuperset(s) for s in S.stems):
             return b
     return None
+
+
+def is_dense(S: FiniteSetFamily, p: LargenessParams) -> ThreeVal:
+    """Does every admissible subfamily contain some stem of S as a subset?"""
+    if 2 ** len(S.family) > min(p.search_bound, EXHAUSTIVE_CAP):
+        return UNKNOWN
+    return ThreeVal.of(_density_counterexample(S, p, None) is None)
 
 
 @dataclass(frozen=True)
@@ -127,21 +118,15 @@ class FgOutcome:
     witness: Optional[Subfamily]
 
 
-def _has_initial_segment_in(stems: frozenset[Stem], c: tuple[int, ...]) -> bool:
-    return any(c[:j] in stems for j in range(len(c) + 1))
-
-
 def _fg_search(S: FiniteSetFamily, p: LargenessParams,
                domain: Optional[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
-    fam = S.family
-    all_adm = _full_admissible(fam, p)
-    starts = {c: _has_initial_segment_in(S.stems, c) for c in all_adm}
-    dom = None if domain is None else set(domain)
-    for b in all_adm:
-        if dom is not None and not set(b) <= dom:
-            continue
+    """First admissible set (within domain) whose admissible subsets all start
+    with a stem of S: one that holds none of the admissible sets that don't."""
+    stemless = [set(c) for c in _admissible_in(S.family, p, None)
+                if not any(c[:j] in S.stems for j in range(len(c) + 1))]
+    for b in _admissible_in(S.family, p, domain):
         b_set = set(b)
-        if all(starts[c] for c in all_adm if set(c) <= b_set):
+        if not any(c <= b_set for c in stemless):
             return b
     return None
 
@@ -167,11 +152,6 @@ class NwOutcome:
     part: Optional[int]           # 0-based part index
 
 
-def _stems_inside(T: FiniteSetFamily, b: tuple[int, ...]) -> list[Stem]:
-    b_set = set(b)
-    return [s for s in T.stems if set(s) <= b_set]
-
-
 def nw_homogenize(T: FiniteSetFamily, parts: Sequence,
                   p: LargenessParams) -> NwOutcome:
     """Drive a partition of a thin family into one part on an admissible set.
@@ -180,54 +160,44 @@ def nw_homogenize(T: FiniteSetFamily, parts: Sequence,
     not dense inside the current domain is avoided outright via the density
     counterexample; a dense part is pinned down through fg_witness and the
     thinness of T.  The output is re-verified, with an exhaustive scan as
-    fallback.
+    fallback.  A set is homogeneous for part i when the stems inside it meet
+    no part but i.
     """
     if not is_thin(T):
         raise ContractError("nw_homogenize needs a thin family")
     normalized = partition_of(T, parts)
     fam = T.family
+    part_of = [(set(s), i) for i, part in enumerate(normalized) for s in part]
+
+    def parts_met(b: tuple[int, ...]) -> set[int]:
+        b_set = set(b)
+        return {i for s, i in part_of if s <= b_set}
 
     domain: Optional[tuple[int, ...]] = None
-    for part_index in range(len(normalized)):
-        part = normalized[part_index]
+    for part_index, part in enumerate(normalized):
         if part_index == len(normalized) - 1:
-            got = _first_admissible_in(fam, p, domain)
-            if got is not None and _check_nw(T, part, got):
-                return NwOutcome("homogeneous", Subfamily(fam, got), part_index)
-            break
-        if not part:
+            got = next(_admissible_in(fam, p, domain), None)
+        elif not part:
             continue
-        sub_family = FiniteSetFamily(fam, part)
-        counter = _density_counterexample(sub_family, p, domain)
-        if counter is not None:
-            # no stem of this part fits inside `counter`: peel the part off
-            domain = counter
-            continue
-        witness = _fg_search(sub_family, p, domain)
-        if witness is not None and _check_nw(T, part, witness):
-            return NwOutcome("homogeneous", Subfamily(fam, witness), part_index)
+        else:
+            sub_family = FiniteSetFamily(fam, part)
+            counter = _density_counterexample(sub_family, p, domain)
+            if counter is not None:
+                # no stem of this part fits inside `counter`: peel the part off
+                domain = counter
+                continue
+            got = _fg_search(sub_family, p, domain)
+        if got is not None and parts_met(got) <= {part_index}:
+            return NwOutcome("homogeneous", Subfamily(fam, got), part_index)
         break
 
-    for b in _full_admissible(fam, p):
-        for i, part in enumerate(normalized):
-            if _check_nw(T, part, b):
-                return NwOutcome("homogeneous", Subfamily(fam, b), i)
+    for b in _admissible_in(fam, p, None):
+        if not normalized:  # nothing to answer, but large families still raise
+            break
+        met = parts_met(b)
+        if len(met) <= 1:
+            return NwOutcome("homogeneous", Subfamily(fam, b), min(met, default=0))
     return NwOutcome("not_found", None, None)
-
-
-def _check_nw(T: FiniteSetFamily, part: frozenset[Stem],
-              b: tuple[int, ...]) -> bool:
-    return all(s in part for s in _stems_inside(T, b))
-
-
-def _first_admissible_in(family: Family, p: LargenessParams,
-                         domain: Optional[tuple[int, ...]]
-                         ) -> Optional[tuple[int, ...]]:
-    dom = None if domain is None else set(domain)
-    for b in _full_admissible(family, p):
-        if dom is None or set(b) <= dom:
-            return b
-    return None
 
 
 def ramsey_via_nw(family: Family, f, p: LargenessParams
