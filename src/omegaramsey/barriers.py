@@ -57,7 +57,10 @@ class FiniteSetFamily:
     def from_json(cls, data: dict, family: Family) -> "FiniteSetFamily":
         if not isinstance(data, dict) or "stems" not in data:
             raise StructuralError("finite set family JSON needs 'stems'")
-        return cls.of(family, (tuple(s) for s in data["stems"]))
+        try:
+            return cls.of(family, (tuple(s) for s in data["stems"]))
+        except TypeError as exc:
+            raise StructuralError(f"malformed finite set family JSON: {exc!r}") from exc
 
 
 def is_initial_segment(s: Stem, t: Stem) -> bool:

@@ -78,7 +78,10 @@ def _basic_inputs(args):
 
 def _stems_partition(args, fam: ground.Family):
     T = barriers.FiniteSetFamily.from_json(_load_json(args.stems), fam)
-    parts = [[tuple(s) for s in part] for part in _load_json(args.partition)]
+    try:
+        parts = [[tuple(s) for s in part] for part in _load_json(args.partition)]
+    except TypeError as exc:
+        raise ground.StructuralError(f"malformed partition JSON: {exc!r}") from exc
     return T, parts
 
 

@@ -87,8 +87,11 @@ class EllentuckBasic:
 
     @classmethod
     def from_json(cls, data: dict, family: Family) -> "EllentuckBasic":
-        return cls(as_stem(data["stem"]),
-                   Subfamily.from_json(data["reservoir"], family))
+        try:
+            return cls(as_stem(data["stem"]),
+                       Subfamily.from_json(data["reservoir"], family))
+        except (KeyError, TypeError) as exc:
+            raise StructuralError(f"malformed basic JSON: {exc!r}") from exc
 
 
 def basic_contains(b: EllentuckBasic, D: Subfamily) -> bool:
@@ -219,19 +222,22 @@ def region_from_json(data: dict, family: Family) -> Region:
     if not isinstance(data, dict) or "type" not in data:
         raise StructuralError("region JSON needs a 'type' tag")
     kind = data["type"]
-    if kind == "explicit":
-        return ExplicitRegion(frozenset(
-            Subfamily.of(family, s).indices for s in data["sets"]))
-    if kind == "basicUnion":
-        return BasicUnionRegion(tuple(
-            EllentuckBasic.from_json(b, family) for b in data["basics"]))
-    if kind == "union":
-        return UnionRegion(tuple(region_from_json(r, family) for r in data["parts"]))
-    if kind == "intersection":
-        return IntersectionRegion(tuple(
-            region_from_json(r, family) for r in data["parts"]))
-    if kind == "complement":
-        return ComplementRegion(region_from_json(data["inner"], family))
+    try:
+        if kind == "explicit":
+            return ExplicitRegion(frozenset(
+                Subfamily.of(family, s).indices for s in data["sets"]))
+        if kind == "basicUnion":
+            return BasicUnionRegion(tuple(
+                EllentuckBasic.from_json(b, family) for b in data["basics"]))
+        if kind == "union":
+            return UnionRegion(tuple(region_from_json(r, family) for r in data["parts"]))
+        if kind == "intersection":
+            return IntersectionRegion(tuple(
+                region_from_json(r, family) for r in data["parts"]))
+        if kind == "complement":
+            return ComplementRegion(region_from_json(data["inner"], family))
+    except (KeyError, TypeError) as exc:
+        raise StructuralError(f"malformed {kind} region JSON: {exc!r}") from exc
     raise StructuralError(f"unknown region type {kind!r}")
 
 

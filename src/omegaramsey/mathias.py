@@ -46,8 +46,11 @@ class Condition:
 
     @classmethod
     def from_json(cls, data: dict, family: Family) -> "Condition":
-        return cls(as_stem(data["stem"]),
-                   Subfamily.from_json(data["side"], family))
+        try:
+            return cls(as_stem(data["stem"]),
+                       Subfamily.from_json(data["side"], family))
+        except (KeyError, TypeError) as exc:
+            raise StructuralError(f"malformed condition JSON: {exc!r}") from exc
 
 
 def valid_condition(c: Condition, p: LargenessParams) -> bool:

@@ -74,6 +74,8 @@ class TestErrors:
 BAD = "<bad>"
 SUB = ["--sub", fx("sub_quads_all.json")]
 TREE = ["--family", fx("family_tree4.json"), "--coloring", fx("coloring_tree4.json")]
+GRID = ["--family", fx("family_grid5.json"), "--d", "1", "--minsize", "3"]
+EIGHT = ["--family", fx("family_eight5.json"), "--d", "1", "--minsize", "3"]
 
 
 class TestMalformedInput:
@@ -87,8 +89,18 @@ class TestMalformedInput:
         (None, ["mathias-extends", "--family", fx("family_twelve6.json"),
                 "--condition", fx("condition_a.json"),
                 "--weaker", fx("condition_b.json"), "--d", "0"]),
+        (b'{"type": "explicit", "sets": 5}', ["decide"] + GRID + ["--region", BAD]),
+        (b'{"type": "basicUnion", "basics": [{"stem": [1]}]}',
+         ["decide"] + GRID + ["--region", BAD]),
+        (b'{"stems": [5]}', ["fg"] + EIGHT + ["--stems", BAD]),
+        (b"[[[1, 2]], 5]", ["nw"] + EIGHT + ["--stems", fx("stems_pairs8.json"),
+                                             "--partition", BAD]),
+        (b'{"side": [4, 6, 7, 8, 10, 11]}',
+         ["mathias-check", "--family", fx("family_twelve6.json"), "--condition", BAD]),
     ], ids=["members-not-a-list", "nested-sub", "directory-as-family", "not-utf8",
-            "tree-build-d0", "mathias-extends-d0"])
+            "tree-build-d0", "mathias-extends-d0", "region-sets-not-a-list",
+            "basic-without-reservoir", "stem-not-a-list", "partition-part-not-a-list",
+            "condition-without-stem"])
     def test_one_error_line_and_exit_one(self, tmp_path, content, argv):
         bad = tmp_path
         if content is not None:
