@@ -126,7 +126,7 @@ class BranchResult:
     domain: tuple[int, ...]
 
 
-def _split(family: Family, content: tuple[int, ...], pivot: int,
+def _split(content: tuple[int, ...], pivot: int,
            f: Coloring) -> tuple[tuple[int, ...], tuple[int, ...]]:
     zero, one = [], []
     for n in content:
@@ -153,7 +153,7 @@ def build_partition_tree(family: Family, f: Coloring, depth: int) -> PartitionTr
     for m in range(1, depth + 1):
         next_frontier = []
         for path, content in frontier:
-            zero, one = _split(family, content, m, f)
+            zero, one = _split(content, m, f)
             for bit, child in ((0, zero), (1, one)):
                 entry = (path + (bit,), child)
                 nodes.append(entry)
@@ -181,7 +181,7 @@ def branch_walk(family: Family, f: Coloring,
     for pivot in domain:
         if pivot in content:
             pivots.append(pivot)
-        zero, one = _split(family, content, pivot, f)
+        zero, one = _split(content, pivot, f)
         if not zero and not one:
             break
         if len(one) > len(zero):
@@ -230,7 +230,7 @@ def _classical_pivot_walk(family: Family, f: Coloring,
         pivots.append(pivot)
         if not rest:
             break
-        zero, one = _split(family, rest, pivot, f)
+        zero, one = _split(rest, pivot, f)
         if len(one) > len(zero):
             colors.append(1)
             pool = one
@@ -327,6 +327,14 @@ def _exhaustive_mono(family: Family, f: Coloring, domain: tuple[int, ...],
     return best
 
 
+def _scan(family: Family, f: Coloring, domain: tuple[int, ...],
+          p: LargenessParams, require_admissible: bool = True
+          ) -> Optional[tuple[Subfamily, int]]:
+    """The exhaustive net: _exhaustive_mono's answer as (Subfamily, color)."""
+    got = _exhaustive_mono(family, f, domain, p, require_admissible)
+    return None if got is None else (Subfamily(family, got[0]), got[1])
+
+
 def _solve_pairs_2(family: Family, f: Coloring, p: LargenessParams,
                    domain: Optional[tuple[int, ...]] = None
                    ) -> Optional[PartitionResult]:
@@ -390,10 +398,7 @@ def merge_colors_solve(family: Family, f: Coloring, base2solver: Solver,
         return got
     # the induction can die on a residual domain that happens to lack an
     # admissible monochromatic set; the direct scan settles solvability
-    direct = _exhaustive_mono(family, f, domain, p, require_admissible=True)
-    if direct is None:
-        return None
-    return Subfamily(family, direct[0]), direct[1]
+    return _scan(family, f, domain, p)
 
 
 def _merge_colors_inner(family: Family, f: Coloring, base2solver: Solver,
@@ -464,10 +469,7 @@ def project_solve(family: Family, f: Coloring, nsolver: Solver, n: int,
         if _verify_mono(f, tuple(sorted(indices)), color) and \
                 admissible(Subfamily.of(family, indices), p) is TRUE:
             return Subfamily.of(family, indices), color
-    got = _exhaustive_mono(family, f, domain, p, require_admissible=True)
-    if got is None:
-        return None
-    return Subfamily(family, got[0]), got[1]
+    return _scan(family, f, domain, p)
 
 
 def stepup_solve(family: Family, f: Coloring, nsolver: Solver, two,
@@ -508,10 +510,7 @@ def stepup_solve(family: Family, f: Coloring, nsolver: Solver, two,
         return None
     # a faulted play or an inadmissible color class still leaves the instance
     # solvable at desk scale; the exhaustive net settles it either way
-    got = _exhaustive_mono(family, f, domain, p, require_admissible=True)
-    if got is None:
-        return None
-    return Subfamily(family, got[0]), got[1]
+    return _scan(family, f, domain, p)
 
 
 class _StepUpOne:
@@ -606,8 +605,7 @@ def solve_partition(family: Family, f: Coloring, p: LargenessParams,
         got = _solve_pairs_2(family, g, p, domain)
         if got is not None and got.admissible is TRUE:
             return got.subfamily.indices, got.color
-        direct = _exhaustive_mono(family, g, domain, p, require_admissible=True)
-        return direct
+        return _exhaustive_mono(family, g, domain, p, require_admissible=True)
 
     def solve_arity(r: int) -> Solver:
         def run(domain: tuple[int, ...], g: Coloring
@@ -634,13 +632,10 @@ def solve_partition(family: Family, f: Coloring, p: LargenessParams,
     if got is None:
         # the reduction gave out: the direct scan answers, admissibly if it can
         route = "exhaustive"
-        direct = _exhaustive_mono(family, f, family.indices, p,
-                                  require_admissible=True) or \
-            _exhaustive_mono(family, f, family.indices, p,
-                             require_admissible=False)
-        if direct is None:
+        got = _scan(family, f, family.indices, p) or \
+            _scan(family, f, family.indices, p, require_admissible=False)
+        if got is None:
             return None
-        got = Subfamily(family, direct[0]), direct[1]
     sub, color = got
     return PartitionResult(sub, color, admissible(sub, p), route)
 

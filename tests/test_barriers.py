@@ -258,6 +258,15 @@ def golden_cases() -> dict:
                     [1, 2, 4], [2, 3, 4], [1, 2, 4], [2, 3, 4]],
         "stems": [(i,) for i in range(1, 11)],
         "parts": [[(6,)], [], [(1,), (2,), (4,), (7,), (8,), (10,)], [(3,), (5,), (9,)]]}
+    # the fallback scan's first candidate holding stems of at most one part
+    # holds none at all, which counts as homogeneous for part 0
+    cases["fallback-meets-no-part"] = {
+        "universe": 5, "d": 1, "min_size": 3,
+        "members": [[1, 2, 3, 4], [1, 2, 4], [1, 2, 4, 5], [2, 4, 5], [2, 3, 4, 5],
+                    [1, 2, 3, 5]],
+        "stems": [(1, 2, 3), (1, 3), (1, 4), (1, 5, 6), (2, 4, 5), (2, 5, 6), (3, 6), (4,)],
+        "parts": [[(1, 4), (2, 4, 5)], [(1, 2, 3), (1, 5, 6), (2, 5, 6), (4,)],
+                  [(1, 3), (3, 6)]]}
     cases["over-16-members"] = {
         "universe": 5, "d": 1, "min_size": 3,
         "members": [list(c) for c in itertools.combinations(range(1, 6), 3)]

@@ -273,6 +273,21 @@ class TestRoute:
         assert (W.indices, color) == \
             _exhaustive_mono(twelve6, f, twelve6.indices, p_pairs, True)
 
+    def test_step_up_play_answers_a_constant_triple_coloring(self):
+        # the play completes on this 12-member family, and the colored picks
+        # past the first two form an admissible set
+        family = Family.of(4, [
+            {3, 4}, {1, 3, 4}, {2, 3, 4}, {1, 2, 4}, {2, 3, 4}, {2, 3},
+            {1, 2, 3}, {1, 3}, {1, 3}, {2, 3, 4}, {1, 3}, {1, 2, 4}])
+        p = LargenessParams(d=2, min_size=2)
+        f = Coloring(3, 2, {c: 1 for c in itertools.combinations(family.indices, 3)})
+        got = solve_partition(family, f, p)
+        assert got.route == "stepup" and got.admissible is TRUE
+        assert (got.subfamily.indices, got.color) == ((4, 5, 6, 7, 8), 1)
+        assert oracle.brute_admissible(got.subfamily, p)
+        assert (got.subfamily.indices, got.color) in \
+            oracle.brute_homogeneous(family, f, 3, 2, p.min_size)
+
 
 class TestSolvePartition:
     def test_constant_pair_coloring(self, big64, p_pairs):
