@@ -17,7 +17,6 @@ from typing import Iterator, Optional, Sequence
 
 from .ground import (
     EXHAUSTIVE_CAP,
-    FALSE,
     TRUE,
     UNKNOWN,
     ContractError,
