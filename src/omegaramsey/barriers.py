@@ -169,11 +169,11 @@ def nw_homogenize(T: FiniteSetFamily, parts: Sequence,
         raise ContractError("nw_homogenize needs a thin family")
     normalized = partition_of(T, parts)
     fam = T.family
-    part_of = [(set(s), i) for i, part in enumerate(normalized) for s in part]
+    stem_parts = [(set(s), i) for i, part in enumerate(normalized) for s in part]
 
     def parts_met(b: tuple[int, ...]) -> set[int]:
         b_set = set(b)
-        return {i for s, i in part_of if s <= b_set}
+        return {i for s, i in stem_parts if s <= b_set}
 
     domain: Optional[tuple[int, ...]] = None
     for part_index, part in enumerate(normalized):
