@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegaramsey import (
     Coloring,
@@ -509,6 +511,122 @@ class TestCounterexampleStep:
         second = counterexample_step(first.continuation, tree, p)
         assert isinstance(second, (Step, NoStep, LargenessFailure))
         assert isinstance(second, LargenessFailure)
+
+
+def reference_built(arity, colors, table):
+    """The per-key constructor as a plain function, kept as the reference.
+
+    Every key is sorted and checked on its own.  Returns what `built` below
+    returns for the coloring: its `to_json` and the color of each entry.
+    """
+    if arity < 1:
+        raise StructuralError("coloring arity must be >= 1")
+    if colors < 1:
+        raise StructuralError("coloring needs at least one color")
+    stored = {}
+    for key, value in table.items():
+        key = tuple(sorted(key))
+        if len(key) != arity or len(set(key)) != arity:
+            raise StructuralError(f"coloring key {key} is not an {arity}-set")
+        if not 0 <= value < colors:
+            raise StructuralError(f"color {value} out of range 0..{colors - 1}")
+        stored[key] = value
+    data = {"arity": arity, "colors": colors,
+            "entries": [[list(k), v] for k, v in sorted(stored.items())]}
+    return data, [v for _, v in data["entries"]]
+
+
+def built(arity, colors, table):
+    """The coloring's `to_json`, and `of` read back on every entry."""
+    f = Coloring(arity, colors, table)
+    data = f.to_json()
+    return data, [f.of(tuple(k)) for k, _ in data["entries"]]
+
+
+def outcome(build):
+    """repr of what `build()` returns, or the type and message it raises."""
+    try:
+        return "ok", repr(build())
+    except Exception as exc:  # the exception itself is what is compared
+        return "raised", type(exc), str(exc)
+
+
+ODD_COLORS = st.sampled_from([-1, 0.0, 1.0, 0.5, -0.5, True, False, math.nan,
+                              2 ** 70])
+
+
+@st.composite
+def coloring_tables(draw):
+    """(arity, colors, table): clean tables with at most a few faults mixed in.
+
+    Clean keys are the sorted r-sets of a small domain; faulty keys come
+    unsorted, with repeated indices, with the wrong length, as frozensets or
+    as strings, and faulty colors are negative, float, bool, NaN or too big.
+    """
+    arity = draw(st.integers(0, 4))
+    colors = draw(st.integers(0, 4))
+    r = max(arity, 1)
+    domain = draw(st.integers(0, 7))
+    keys = [c for c in itertools.combinations(range(1, domain + 1), r)
+            if draw(st.booleans())]
+    table = {key: draw(st.integers(0, max(colors - 1, 0))) for key in keys}
+    for _ in range(draw(st.integers(0, 3))):
+        ints = draw(st.lists(st.integers(0, 6), min_size=max(r - 1, 0),
+                             max_size=r + 1))
+        key = draw(st.sampled_from([
+            tuple(ints), tuple(sorted(ints)), tuple(sorted(ints, reverse=True)),
+            frozenset(ints), "".join("abcdefg"[i] for i in ints)]))
+        if isinstance(key, str) and any(isinstance(k, tuple) for k in table):
+            continue    # mixed str and int keys cannot be sorted for to_json
+        table[key] = draw(st.one_of(st.integers(-1, colors), ODD_COLORS))
+    if table and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(table, key=repr)))
+        table[key] = draw(ODD_COLORS)
+    return arity, colors, table
+
+
+class TestColoringConstructor:
+    @settings(max_examples=400, deadline=None)
+    @given(coloring_tables())
+    def test_matches_the_per_key_reference(self, case):
+        arity, colors, table = case
+        assert outcome(lambda: built(arity, colors, table)) == \
+            outcome(lambda: reference_built(arity, colors, table))
+
+    @pytest.mark.parametrize("table", [
+        {}, {(1, 2): 0, (1, 3): 1}, {(2, 1): 0}, {(1, 1): 0}, {(1, 2, 3): 0},
+        {frozenset({1, 2}): 1}, {"ab": 0}, {(1, 2): -1}, {(1, 2): 0.5},
+        {(1, 2): True}, {(1, 2): 1.0}, {(1, 2): math.nan}, {(1, 2): 2},
+        {(1, 2): [0]}, {(1, "a"): 0}, {(1, 2): 0, (2, 1): 1},
+    ], ids=repr)
+    def test_edge_tables_match_the_reference(self, table):
+        assert outcome(lambda: built(2, 2, table)) == \
+            outcome(lambda: reference_built(2, 2, table))
+
+    def test_input_mutation_after_construction_is_not_seen(self):
+        table = {(1, 2): 0, (1, 3): 1, (2, 3): 0}
+        f = Coloring(2, 2, table)
+        table[(1, 2)] = 1
+        del table[(2, 3)]
+        table[(3, 4)] = 1
+        assert (f.of((1, 2)), f.of((2, 3))) == (0, 0)
+        with pytest.raises(StructuralError):
+            f.of((3, 4))
+
+    def test_of_reads_any_ordering_of_a_key(self):
+        f = Coloring(3, 3, {(1, 2, 5): 2, (1, 3, 4): 1})
+        for key in [(1, 2, 5), (5, 1, 2), [2, 5, 1], frozenset({1, 2, 5}),
+                    iter((5, 2, 1))]:
+            assert f.of(key) == 2
+        assert f.of((4, 3, 1)) == 1
+
+    @pytest.mark.parametrize("key", [(1, 2, 4), (4, 2, 1), [4, 1, 2],
+                                     frozenset({1, 2, 4}), (1, 2), "abc"])
+    def test_of_undefined_key_raises(self, key):
+        f = Coloring(3, 2, {(1, 2, 5): 1})
+        with pytest.raises(StructuralError,
+                           match=r"^coloring is not defined on \("):
+            f.of(key)
 
 
 class TestColoringJson:
