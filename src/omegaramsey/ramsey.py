@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter, lt
 from typing import Callable, Optional
 
 from .ground import (
@@ -40,6 +41,29 @@ from .ground import (
 Solver = Callable[[tuple[int, ...], "Coloring"], Optional[tuple[tuple[int, ...], int]]]
 
 
+def _stored_as_given(arity: int, colors: int,
+                     table: dict[tuple[int, ...], int]) -> bool:
+    """Whether the key-by-key pass would store `table` unchanged.
+
+    True when every key is a strictly increasing `arity`-tuple and every
+    color is an int in range(colors); checked a whole column at a time.
+    Colors of any other type (bool, float, NaN) are left to that pass, and
+    `range.__contains__` answers for ints without building the range.
+    """
+    try:
+        if set(map(type, table)) != {tuple} or set(map(len, table)) != {arity}:
+            return False
+        for i in range(arity - 1):
+            if not all(map(lt, map(itemgetter(i), table),
+                           map(itemgetter(i + 1), table))):
+                return False
+        values = set(table.values())
+        return set(map(type, values)) <= {int} and \
+            all(map(range(colors).__contains__, values))
+    except TypeError:
+        return False
+
+
 class Coloring:
     """A coloring of r-element index sets with colors 0..k-1.
 
@@ -56,6 +80,10 @@ class Coloring:
             raise StructuralError("coloring needs at least one color")
         self.arity = arity
         self.colors = colors
+        if _stored_as_given(arity, colors, table):
+            self._table = dict(table)
+            return
+        # the key-by-key pass sorts what it can and names the first fault
         self._table = {}
         for key, value in table.items():
             key = tuple(sorted(key))
@@ -66,6 +94,10 @@ class Coloring:
             self._table[key] = value
 
     def of(self, indices) -> int:
+        try:
+            return self._table[indices]     # every stored key is sorted
+        except (KeyError, TypeError):
+            pass
         key = tuple(sorted(indices))
         try:
             return self._table[key]
@@ -550,7 +582,7 @@ class _StepUpOne:
             pool = tuple(i for i in self.domain if i != fixed)
         else:
             fixed = picks[-1]
-            pool = tuple(i for i in state["pool"] if i > fixed)
+            pool = tuple(i for i in state["pool"] if i != fixed)
         indices, color = self._homogenize(fixed, pool, inning)
         if picks:
             self.final_colors[fixed] = color

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -184,6 +185,23 @@ class TestGamesAndSolvers:
         result = json.loads(out)["result"]
         assert result["set"] == [1, 2, 3] and result["color"] == 0
         assert result["oracleVerified"] is True
+
+    def test_ramsey_solve_constant_arity_four(self, tmp_path):
+        # a nested step-up play on this input used to end in a traceback
+        coloring = tmp_path / "constant4.json"
+        coloring.write_text(json.dumps(
+            {"arity": 4, "colors": 2,
+             "entries": [[list(c), 0]
+                         for c in itertools.combinations(range(1, 16), 4)]}))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = invoke(["ramsey-solve", "--family", fx("family_quads6.json"),
+                                "--coloring", str(coloring),
+                                "--d", "2", "--minsize", "3"])
+        assert code == EXIT_OK and err.getvalue() == ""
+        result = json.loads(out)["result"]
+        assert result["verdict"] == "solved" and result["route"] == "exhaustive"
+        assert result["set"] == list(range(1, 16)) and result["color"] == 0
 
     def test_tree_build(self):
         code, out = invoke(["tree-build", "--family", fx("family_tree4.json"),

@@ -291,6 +291,15 @@ class TestRoute:
             oracle.brute_homogeneous(family, f, 3, 2, p.min_size)
 
 
+    def test_nested_step_up_play_gets_a_nonempty_pool(self, quads6, p_pairs):
+        # the next pool is the move minus the pick: keeping only the indices
+        # past the pick handed a nested play an empty pool (IndexError)
+        f = constant_coloring(15, 4, 0)
+        got = solve_partition(quads6, f, p_pairs)
+        assert got.route == "exhaustive" and got.admissible is TRUE
+        assert (got.subfamily.indices, got.color) == (quads6.indices, 0)
+
+
 class TestSolvePartition:
     def test_constant_pair_coloring(self, big64, p_pairs):
         got = solve_partition(big64, constant_coloring(64, 2, 1), p_pairs)
