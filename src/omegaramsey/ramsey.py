@@ -577,12 +577,11 @@ class _StepUpOne:
 
     def move(self, state, picks):
         inning = len(picks) + 1
-        if not picks:
-            fixed = self.domain[0]
-            pool = tuple(i for i in self.domain if i != fixed)
+        if picks:
+            fixed, pool = picks[-1], state["pool"]
         else:
-            fixed = picks[-1]
-            pool = tuple(i for i in state["pool"] if i != fixed)
+            fixed, pool = self.domain[0], self.domain
+        pool = tuple(i for i in pool if i != fixed)
         indices, color = self._homogenize(fixed, pool, inning)
         if picks:
             self.final_colors[fixed] = color

@@ -290,7 +290,6 @@ class TestRoute:
         assert (got.subfamily.indices, got.color) in \
             oracle.brute_homogeneous(family, f, 3, 2, p.min_size)
 
-
     def test_nested_step_up_play_gets_a_nonempty_pool(self, quads6, p_pairs):
         # the next pool is the move minus the pick: keeping only the indices
         # past the pick handed a nested play an empty pool (IndexError)
