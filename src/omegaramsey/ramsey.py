@@ -47,8 +47,9 @@ def _stored_as_given(arity: int, colors: int,
 
     True when every key is a strictly increasing `arity`-tuple and every
     color is an int in range(colors); checked a whole column at a time.
-    Colors of any other type (bool, float, NaN) are left to that pass, and
-    `range.__contains__` answers for ints without building the range.
+    Colors are typed one by one, since a set of them would keep 0 and drop
+    an equal 0.0; any other type (bool, float, NaN) is left to that pass,
+    and `range.__contains__` answers for ints without building the range.
     """
     try:
         if set(map(type, table)) != {tuple} or set(map(len, table)) != {arity}:
@@ -57,9 +58,8 @@ def _stored_as_given(arity: int, colors: int,
             if not all(map(lt, map(itemgetter(i), table),
                            map(itemgetter(i + 1), table))):
                 return False
-        values = set(table.values())
-        return set(map(type, values)) <= {int} and \
-            all(map(range(colors).__contains__, values))
+        return set(map(type, table.values())) <= {int} and \
+            all(map(range(colors).__contains__, set(table.values())))
     except TypeError:
         return False
 
@@ -89,6 +89,8 @@ class Coloring:
             key = tuple(sorted(key))
             if len(key) != arity or len(set(key)) != arity:
                 raise StructuralError(f"coloring key {key} is not an {arity}-set")
+            if type(value) is not int:
+                raise StructuralError(f"color {value!r} is not an integer")
             if not 0 <= value < colors:
                 raise StructuralError(f"color {value} out of range 0..{colors - 1}")
             self._table[key] = value

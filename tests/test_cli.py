@@ -98,10 +98,14 @@ class TestMalformedInput:
                                              "--partition", BAD]),
         (b'{"side": [4, 6, 7, 8, 10, 11]}',
          ["mathias-check", "--family", fx("family_twelve6.json"), "--condition", BAD]),
+        (b'{"arity": 2, "colors": 2, "entries": [[[1, 2], 0], [[1, 3], 0.5], '
+         b'[[1, 4], 1], [[2, 3], 0], [[2, 4], 1], [[3, 4], 0]]}',
+         ["ramsey-solve", "--family", fx("family_tree4.json"), "--coloring", BAD,
+          "--d", "1", "--minsize", "3"]),
     ], ids=["members-not-a-list", "nested-sub", "directory-as-family", "not-utf8",
             "tree-build-d0", "mathias-extends-d0", "region-sets-not-a-list",
             "basic-without-reservoir", "stem-not-a-list", "partition-part-not-a-list",
-            "condition-without-stem"])
+            "condition-without-stem", "fractional-color"])
     def test_one_error_line_and_exit_one(self, tmp_path, content, argv):
         bad = tmp_path
         if content is not None:

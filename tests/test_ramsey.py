@@ -536,6 +536,8 @@ def reference_built(arity, colors, table):
         key = tuple(sorted(key))
         if len(key) != arity or len(set(key)) != arity:
             raise StructuralError(f"coloring key {key} is not an {arity}-set")
+        if type(value) is not int:
+            raise StructuralError(f"color {value!r} is not an integer")
         if not 0 <= value < colors:
             raise StructuralError(f"color {value} out of range 0..{colors - 1}")
         stored[key] = value
