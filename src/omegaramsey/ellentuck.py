@@ -111,15 +111,6 @@ class Region:
     def contains(self, D: Subfamily) -> bool:
         raise NotImplementedError
 
-    def union(self, other: "Region") -> "Region":
-        return UnionRegion((self, other))
-
-    def intersect(self, other: "Region") -> "Region":
-        return IntersectionRegion((self, other))
-
-    def complement(self) -> "Region":
-        return ComplementRegion(self)
-
 
 @dataclass(frozen=True)
 class ExplicitRegion(Region):
@@ -512,10 +503,6 @@ def _cr_constructive(R: Region, s: Stem, B: Subfamily, p: LargenessParams,
     return None
 
 
-class _TooLargeForBasics(Exception):
-    """Internal: the family is too big to enumerate every basic."""
-
-
 @lru_cache(maxsize=None)
 def _all_basics_with_content(family: Family, p: LargenessParams
                              ) -> tuple[tuple[Stem, tuple[int, ...], frozenset], ...]:
@@ -524,11 +511,10 @@ def _all_basics_with_content(family: Family, p: LargenessParams
     Reservoirs are required admissible: they stand in for the infinite large
     reservoirs of the idealized setting, and keeping them large is what stops
     single-point basics from acting as atoms.  Entries are (stem, reservoir,
-    content keyset) in canonical order over stems, then reservoirs.
+    content keyset) in canonical order over stems, then reservoirs.  Callers
+    keep the family to at most 12 members.
     """
     n = len(family)
-    if 2 ** n > 4096:
-        raise _TooLargeForBasics(n)
     out = []
     for stem in subsets_canonical(range(1, n + 1)):
         tail = tuple(i for i in range(1, n + 1) if not stem or i > max(stem))
@@ -547,14 +533,12 @@ def is_nowhere_dense(R: Region, family: Family, p: LargenessParams) -> ThreeVal:
 
     Quantifies over basics with admissible reservoirs and nonempty admissible
     content; sub-basic means containment of the admissible member sets.
-    Bounded by the search budget.
+    UNKNOWN when 3^n passes the search budget or the family has over 12
+    members.
     """
-    if 3 ** len(family) > p.search_bound:
+    if 3 ** len(family) > p.search_bound or 2 ** len(family) > 4096:
         return UNKNOWN
-    try:
-        basics = _all_basics_with_content(family, p)
-    except _TooLargeForBasics:
-        return UNKNOWN
+    basics = _all_basics_with_content(family, p)
     free = [keys for (_, _, keys) in basics
             if all(not R.contains(Subfamily(family, d)) for d in keys)]
     for _, _, keys in basics:

@@ -7,7 +7,8 @@ the three proof-shaped ONE strategies: the fusion strategy that decides every
 small finite stem along the play, the rejection strategy that propagates a
 rejection certificate, and the avoidance strategy that steers the play clear
 of an increasing ladder of nowhere dense regions.  Each strategy carries its
-bookkeeping as explicit state and emits checkable certificates.
+bookkeeping as explicit state, which the play hands back with the transcript,
+and emits checkable certificates.
 """
 
 from __future__ import annotations
@@ -59,12 +60,13 @@ class StrategyFault(EngineError):
 
 @dataclass(frozen=True)
 class Transcript:
-    """A bounded play: ONE's moves, TWO's picks, the verdict, and audit data."""
+    """A bounded play: ONE's moves, TWO's picks, the verdict, and ONE's state
+    after its last move."""
 
     moves: tuple[Subfamily, ...]
     picks: tuple[int, ...]
     winner: str  # "ONE" | "TWO" | "unknown"
-    audits: tuple[dict, ...] = ()
+    state: dict
     certificates: tuple[dict, ...] = ()
 
     def to_json(self) -> dict:
@@ -77,15 +79,13 @@ class Transcript:
 
 
 class OneStrategy:
-    """ONE's side: a label, an initial state, and a pure move function."""
-
-    label = "one"
+    """ONE's side: an initial state and a pure move function."""
 
     def start(self) -> dict:
         return {}
 
-    def move(self, state: dict, picks: tuple[int, ...]) -> tuple[Subfamily, dict, dict]:
-        """Return (move, new state, audit record) for the next inning."""
+    def move(self, state: dict, picks: tuple[int, ...]) -> tuple[Subfamily, dict]:
+        """Return (move, new state) for the next inning."""
         raise NotImplementedError
 
     def certificates(self, state: dict, picks: tuple[int, ...]) -> tuple[dict, ...]:
@@ -95,8 +95,6 @@ class OneStrategy:
 class TwoStrategy:
     """TWO's side: pick one index out of ONE's current move."""
 
-    label = "two"
-
     def pick(self, moves: tuple[Subfamily, ...], picks: tuple[int, ...],
              current: Subfamily) -> int:
         raise NotImplementedError
@@ -105,18 +103,14 @@ class TwoStrategy:
 class ConstantOne(OneStrategy):
     """Plays the same fixed subfamily every inning."""
 
-    label = "constant"
-
     def __init__(self, move: Subfamily) -> None:
         self._move = move
 
     def move(self, state, picks):
-        return self._move, state, {}
+        return self._move, state
 
 
 class LeastIndexTwo(TwoStrategy):
-    label = "least-index"
-
     def pick(self, moves, picks, current):
         return current.indices[0]
 
@@ -126,8 +120,6 @@ class GreedyTwo(TwoStrategy):
 
     Ties break toward the least index, so plays are reproducible.
     """
-
-    label = "greedy"
 
     def __init__(self, p: LargenessParams) -> None:
         self.p = p
@@ -161,12 +153,9 @@ def play(one: OneStrategy, two: TwoStrategy, innings: int,
     state = one.start()
     moves: list[Subfamily] = []
     picks: list[int] = []
-    audits: list[dict] = []
     for inning in range(1, innings + 1):
         try:
-            move, state, audit = one.move(state, tuple(picks))
-        except StrategyFault:
-            raise
+            move, state = one.move(state, tuple(picks))
         except (ContractError, DegenerateError) as exc:
             raise StrategyFault(inning, f"strategy failed: {exc}") from exc
         if admissible(move, p) is not TRUE:
@@ -176,11 +165,10 @@ def play(one: OneStrategy, two: TwoStrategy, innings: int,
             raise StrategyFault(inning, f"TWO picked {pick} outside ONE's move")
         moves.append(move)
         picks.append(pick)
-        audits.append(audit)
     verdict = two_wins_picks(moves[0].family, tuple(picks), p)
     winner = {TRUE: "TWO", FALSE: "ONE", UNKNOWN: "unknown"}[verdict]
     certs = one.certificates(state, tuple(picks))
-    return Transcript(tuple(moves), tuple(picks), winner, tuple(audits), certs)
+    return Transcript(tuple(moves), tuple(picks), winner, state, certs)
 
 
 def two_wins_picks(family: Family, picks: tuple[int, ...],
@@ -284,10 +272,8 @@ class FusionOne(OneStrategy):
     Each inning the newly reachable stems are decided in canonical order
     against the target region; an accepting sub-reservoir replaces the
     reservoir, a rejection keeps it.  The decided-verdict table rides along
-    in the state for audit.
+    in the state.
     """
-
-    label = "fusion"
 
     def __init__(self, t: Stem, B: Subfamily, R: Region, p: LargenessParams,
                  subset_cap: int = DEFAULT_SUBSET_CAP) -> None:
@@ -308,7 +294,6 @@ class FusionOne(OneStrategy):
         if picks:
             reservoir = restrict(reservoir, (picks[-1],))
         table = dict(state["table"])
-        decided_now = {}
         for stem in _new_stems(self.t, picks, self.cap):
             if stem in table:
                 continue
@@ -318,11 +303,8 @@ class FusionOne(OneStrategy):
             if outcome.kind == "accepts":
                 reservoir = outcome.witness
             table[stem] = outcome.kind
-            decided_now[stem] = outcome.kind
-        new_state = {"reservoir": reservoir, "table": tuple(sorted(table.items()))}
-        audit = {"decided": {",".join(map(str, k)): v for k, v in decided_now.items()},
-                 "reservoir": list(reservoir.indices)}
-        return reservoir, new_state, audit
+        return reservoir, {"reservoir": reservoir,
+                           "table": tuple(sorted(table.items()))}
 
 
 @dataclass(frozen=True)
@@ -362,13 +344,10 @@ def decide_all_finite(t: Stem, B: Subfamily, R: Region, innings: int,
         return DecideAllFailed(None, f"picks not admissible ({transcript.winner})")
     picks = Subfamily.of(B.family, transcript.picks)
     terminal = Subfamily.of(B.family, set(t) | set(transcript.picks))
-    state = strategy.start()
-    for k in range(len(transcript.picks)):
-        _, state, _ = strategy.move(state, transcript.picks[:k])
     # one more decision pass so stems involving the final pick get verdicts,
     # exactly as the next inning would have decided them
     try:
-        _, state, _ = strategy.move(state, transcript.picks)
+        _, state = strategy.move(transcript.state, transcript.picks)
     except StrategyFault as fault:
         return DecideAllFailed(fault.inning, fault.reason)
     except (ContractError, DegenerateError) as exc:
@@ -390,8 +369,6 @@ class RejectionOne(OneStrategy):
     The post-play certificate claims that the picks past any small F reject
     base u F.
     """
-
-    label = "rejection"
 
     def __init__(self, s: Stem, B: Subfamily, R: Region, p: LargenessParams,
                  subset_cap: int = DEFAULT_SUBSET_CAP) -> None:
@@ -434,7 +411,7 @@ class RejectionOne(OneStrategy):
                 raise StrategyFault(
                     inning, "rejection filter left an inadmissible pool "
                             "(largeness lost at finite scale)")
-        return move, {"prev": move}, {"move": list(move.indices)}
+        return move, {"prev": move}
 
     def certificates(self, state, picks):
         picks_sub = Subfamily.of(self.B.family, picks)
@@ -457,8 +434,6 @@ class MeagerAvoidOne(OneStrategy):
     that [s u F, move] avoids level k of the ladder for every F inside the
     picks so far.  Those disjointness claims are the emitted certificates.
     """
-
-    label = "meager-avoid"
 
     def __init__(self, s: Stem, B: Subfamily, ladder: MeagerPresentation,
                  p: LargenessParams, subset_cap: int = DEFAULT_SUBSET_CAP) -> None:
@@ -491,8 +466,7 @@ class MeagerAvoidOne(OneStrategy):
         # earlier shrink steps stay valid: the final move is a sub-reservoir
         claims = [c if c["level"] != inning else
                   {**c, "set": list(current.indices)} for c in claims]
-        return current, {"prev": current, "claims": tuple(claims)}, \
-            {"move": list(current.indices), "level": inning}
+        return current, {"prev": current, "claims": tuple(claims)}
 
     def certificates(self, state, picks):
         return tuple(state["claims"])

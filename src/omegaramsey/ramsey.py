@@ -532,7 +532,7 @@ def stepup_solve(family: Family, f: Coloring, nsolver: Solver, two,
         transcript = None
 
     if transcript is not None:
-        colors = strategy.final_colors
+        colors = transcript.state["colors"]
         picks = transcript.picks
         for i in sorted(set(colors.values())):
             w = tuple(pk for pos, pk in enumerate(picks, start=1)
@@ -548,9 +548,11 @@ def stepup_solve(family: Family, f: Coloring, nsolver: Solver, two,
 
 
 class _StepUpOne:
-    """ONE's strategy for the step-up: homogenize around the latest pick."""
+    """ONE's strategy for the step-up: homogenize around the latest pick.
 
-    label = "step-up"
+    The state holds the pool the next inning homogenizes and the color each
+    pick got when it was homogenized around.
+    """
 
     def __init__(self, family: Family, f: Coloring, nsolver: Solver,
                  domain: tuple[int, ...], n: int) -> None:
@@ -559,10 +561,9 @@ class _StepUpOne:
         self.nsolver = nsolver
         self.domain = domain
         self.n = n
-        self.final_colors: dict[int, int] = {}
 
     def start(self) -> dict:
-        return {"pool": None}
+        return {"pool": None, "colors": {}}
 
     def _homogenize(self, fixed: int, pool: tuple[int, ...], inning: int
                     ) -> tuple[tuple[int, ...], int]:
@@ -585,18 +586,15 @@ class _StepUpOne:
             fixed, pool = self.domain[0], self.domain
         pool = tuple(i for i in pool if i != fixed)
         indices, color = self._homogenize(fixed, pool, inning)
-        if picks:
-            self.final_colors[fixed] = color
-        move = Subfamily(self.family, indices)
-        return move, {"pool": indices}, {"fixed": fixed, "color": color}
+        colors = {**state["colors"], fixed: color} if picks else state["colors"]
+        return Subfamily(self.family, indices), {"pool": indices, "colors": colors}
 
     def certificates(self, state, picks):
         return ()
 
 
-def solve_partition(family: Family, f: Coloring, p: LargenessParams,
-                    innings: Optional[int] = None,
-                    two=None) -> Optional[PartitionResult]:
+def solve_partition(family: Family, f: Coloring,
+                    p: LargenessParams) -> Optional[PartitionResult]:
     """Dispatch a partition instance across the bundled reductions.
 
     Pairs with two colors go to the branch-walk solver; more colors are
@@ -612,10 +610,8 @@ def solve_partition(family: Family, f: Coloring, p: LargenessParams,
     if n > 4 or k > 8:
         raise StructuralError("partition instances are capped at arity 4 and "
                               "8 colors so they stay exhaustively checkable")
-    if innings is None:
-        innings = max(games.DEFAULT_INNINGS, n + p.min_size + 3)
-    if two is None:
-        two = games.GreedyTwo(p)
+    innings = max(games.DEFAULT_INNINGS, n + p.min_size + 3)
+    two = games.GreedyTwo(p)
 
     if n == 1:
         classes: list[tuple[tuple[int, ...], int]] = []
@@ -640,18 +636,14 @@ def solve_partition(family: Family, f: Coloring, p: LargenessParams,
             return got.subfamily.indices, got.color
         return _exhaustive_mono(family, g, domain, p, require_admissible=True)
 
-    def solve_arity(r: int) -> Solver:
-        def run(domain: tuple[int, ...], g: Coloring
-                ) -> Optional[tuple[tuple[int, ...], int]]:
-            if r == 2:
-                got = merge_colors_solve(family, g, base2, p, domain)
-            else:
-                got = stepup_solve(family, g, solve_arity(r - 1), two,
-                                   innings, p, domain)
-            if got is None:
-                return None
-            return got[0].indices, got[1]
-        return run
+    def solve(domain: tuple[int, ...], g: Coloring
+              ) -> Optional[tuple[tuple[int, ...], int]]:
+        """The nested solver: merge pairs down, step higher arities up."""
+        if g.arity == 2:
+            got = merge_colors_solve(family, g, base2, p, domain)
+        else:
+            got = stepup_solve(family, g, solve, two, innings, p, domain)
+        return None if got is None else (got[0].indices, got[1])
 
     if n == 2 and k == 2:
         return _solve_pairs_2(family, f, p)
@@ -659,8 +651,7 @@ def solve_partition(family: Family, f: Coloring, p: LargenessParams,
         got = merge_colors_solve(family, f, base2, p, fallback=False)
         route = "merge"
     else:
-        got = stepup_solve(family, f, solve_arity(n - 1), two, innings, p,
-                           fallback=False)
+        got = stepup_solve(family, f, solve, two, innings, p, fallback=False)
         route = "stepup"
     if got is None:
         # the reduction gave out: the direct scan answers, admissibly if it can

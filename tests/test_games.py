@@ -5,13 +5,16 @@ import pytest
 
 from omegaramsey import (
     BasicUnionRegion,
+    Coloring,
     ComplementRegion,
     ConstantOne,
     ContractError,
     EllentuckBasic,
     ExplicitRegion,
     FALSE,
+    Family,
     GreedyTwo,
+    LargenessParams,
     LeastIndexTwo,
     MeagerPresentation,
     PredicateRegion,
@@ -35,6 +38,7 @@ from omegaramsey.games import (
     two_wins_picks,
 )
 from omegaramsey import oracle
+from omegaramsey.ramsey import _StepUpOne
 
 ALWAYS = PredicateRegion(lambda D: True, "always")
 NEVER = ExplicitRegion.empty()
@@ -345,3 +349,54 @@ class TestMeagerTrivialLevel:
             W = Subfamily.of(grid5, cert["set"])
             assert oracle.brute_accepts(W, tuple(cert["stem"]),
                                         ComplementRegion(NEVER), p_grid)
+
+
+class TestFinalState:
+    """The play hands back ONE's state after its last move."""
+
+    @staticmethod
+    def replayed(strategy, picks):
+        state = strategy.start()
+        for k in range(len(picks)):
+            _, state = strategy.move(state, picks[:k])
+        return state
+
+    def test_fusion(self, grid5, full_grid, p_grid):
+        strategy = FusionOne((), full_grid, NEVER, p_grid)
+        t = play(strategy, GreedyTwo(p_grid), 4, p_grid)
+        assert t.state == self.replayed(strategy, t.picks)
+        assert t.state["reservoir"] == t.moves[-1]
+        assert dict(t.state["table"])
+
+    def test_rejection(self, grid5, full_grid, p_grid):
+        got = decide_all_finite((), full_grid, NEVER, 4, p_grid)
+        assert isinstance(got, DecidedAll)
+        strategy = RejectionOne((), got.picks, NEVER, p_grid)
+        t = play(strategy, GreedyTwo(p_grid), 2, p_grid)
+        assert t.state == self.replayed(strategy, t.picks)
+        assert t.state == {"prev": t.moves[-1]}
+
+    def test_meager_avoid(self, grid5, full_grid, p_grid):
+        ladder = MeagerPresentation(TestMeagerAvoid.LEVELS)
+        strategy = MeagerAvoidOne((), full_grid, ladder, p_grid)
+        t = play(strategy, GreedyTwo(p_grid), 4, p_grid)
+        assert t.state == self.replayed(strategy, t.picks)
+        assert t.state["claims"] == t.certificates
+
+    def test_step_up(self):
+        # the constant triple coloring on which the step-up play completes
+        family = Family.of(4, [
+            {3, 4}, {1, 3, 4}, {2, 3, 4}, {1, 2, 4}, {2, 3, 4}, {2, 3},
+            {1, 2, 3}, {1, 3}, {1, 3}, {2, 3, 4}, {1, 3}, {1, 2, 4}])
+        p = LargenessParams(d=2, min_size=2)
+        f = Coloring(3, 2, {c: 1 for c in itertools.combinations(family.indices, 3)})
+
+        def pairs(domain, g):
+            return tuple(sorted(domain)), g.of(tuple(sorted(domain))[:2])
+
+        strategy = _StepUpOne(family, f, pairs, family.indices, 2)
+        t = play(strategy, GreedyTwo(p), 8, p)
+        assert t.state == self.replayed(strategy, t.picks)
+        # every pick but the last was homogenized around, all to color 1
+        assert t.state["colors"] == {pk: 1 for pk in t.picks[:-1]}
+        assert t.state["pool"] == t.moves[-1].indices
