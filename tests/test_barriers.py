@@ -241,9 +241,29 @@ def _random_case(rng: random.Random) -> dict:
             "min_size": rng.randint(1, 4), "stems": stems, "parts": parts}
 
 
+def _pair_coloring_case(rng: random.Random) -> dict:
+    """ramsey_via_nw's shape: all pairs of an 11-14-member family as stems,
+    dealt to 2-3 parts by a random coloring.
+
+    Members are 3- and 4-sets of 6 points at d=2, min_size=3, as in the
+    twelve-member partition family, so the constructive path often gives up
+    and the fallback scan walks a couple of thousand admissible sets.
+    """
+    members = [sorted(rng.sample(range(1, 7), rng.randint(3, 4)))
+               for _ in range(rng.randint(11, 14))]
+    stems = list(itertools.combinations(range(1, len(members) + 1), 2))
+    parts = [[] for _ in range(rng.randint(2, 3))]
+    for s in stems:
+        parts[rng.randrange(len(parts))].append(s)
+    return {"universe": 6, "members": members, "d": 2, "min_size": 3,
+            "stems": stems, "parts": parts}
+
+
 def golden_cases() -> dict:
     rng = random.Random(5)
     cases = {f"random-{i:03d}": _random_case(rng) for i in range(200)}
+    rng = random.Random(9)
+    cases.update((f"pairs-{i:02d}", _pair_coloring_case(rng)) for i in range(12))
     eight = [[1, 2, 3], [3, 4, 5], [1, 4, 5], [2, 4, 5], [1, 2, 5], [2, 3, 4],
              [1, 3, 4], [2, 3, 5]]
     cases["empty-stems-no-parts"] = {

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -561,6 +562,9 @@ def outcome(build):
         return "raised", type(exc), str(exc)
 
 
+#: a tuple subclass: equal and hashable like a plain pair, but not of type tuple
+Pair = namedtuple("Pair", "lo hi")
+
 ODD_COLORS = st.sampled_from([-1, 0.0, 1.0, 0.5, -0.5, True, False, math.nan,
                               2 ** 70])
 
@@ -608,6 +612,8 @@ class TestColoringConstructor:
         {frozenset({1, 2}): 1}, {"ab": 0}, {(1, 2): -1}, {(1, 2): 0.5},
         {(1, 2): True}, {(1, 2): 1.0}, {(1, 2): math.nan}, {(1, 2): 2},
         {(1, 2): [0]}, {(1, "a"): 0}, {(1, 2): 0, (2, 1): 1},
+        {(1,): 0}, {(): 0}, {(1, 2): 0, (1, 2, 3): 1}, {(1, 2): 0, (3,): 1},
+        {(1, None): 0}, {Pair(1, 2): 0},
     ], ids=repr)
     def test_edge_tables_match_the_reference(self, table):
         assert outcome(lambda: built(2, 2, table)) == \
