@@ -87,23 +87,31 @@ def partition_of(T: FiniteSetFamily, parts: Sequence) -> tuple[frozenset[Stem], 
     return tuple(normalized)
 
 
-def _admissible_in(family: Family, p: LargenessParams,
-                   domain: Optional[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    """The admissible sets of the family inside domain (all when None), in
-    canonical order.  Raises EngineError on families over 16 members."""
-    subs = admissible_subsets(Subfamily.full(family), p)
-    dom = None if domain is None else set(domain)
-    yield from subs if dom is None else (b for b in subs if dom.issuperset(b))
+def _mask(indices) -> int:
+    """The int with bit i set for each index i, so that containment of index
+    sets is `s & m == s`."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
 
 
-def _density_counterexample(S: FiniteSetFamily, p: LargenessParams,
-                            domain: Optional[tuple[int, ...]]
-                            ) -> Optional[tuple[int, ...]]:
-    """First admissible set (within domain) containing no stem of S."""
-    for b in _admissible_in(S.family, p, domain):
-        b_set = set(b)
-        if not any(b_set.issuperset(s) for s in S.stems):
-            return b
+def _admissible_in(family: Family, p: LargenessParams, domain: Optional[int]
+                   ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The family's admissible sets within the domain mask (all when None), in
+    canonical order, each with its mask.  Raises EngineError on families over
+    16 members."""
+    masked = ((b, _mask(b)) for b in admissible_subsets(Subfamily.full(family), p))
+    return masked if domain is None else (bm for bm in masked if bm[1] & domain == bm[1])
+
+
+def _density_counterexample(stems: list[int], family: Family, p: LargenessParams,
+                            domain: Optional[int]) -> Optional[int]:
+    """Mask of the first admissible set (within domain) containing none of
+    the stem masks."""
+    for _, m in _admissible_in(family, p, domain):
+        if not any(s & m == s for s in stems):
+            return m
     return None
 
 
@@ -111,7 +119,8 @@ def is_dense(S: FiniteSetFamily, p: LargenessParams) -> ThreeVal:
     """Does every admissible subfamily contain some stem of S as a subset?"""
     if 2 ** len(S.family) > min(p.search_bound, EXHAUSTIVE_CAP):
         return UNKNOWN
-    return ThreeVal.of(_density_counterexample(S, p, None) is None)
+    stems = [_mask(s) for s in S.stems]
+    return ThreeVal.of(_density_counterexample(stems, S.family, p, None) is None)
 
 
 @dataclass(frozen=True)
@@ -120,15 +129,23 @@ class FgOutcome:
     witness: Optional[Subfamily]
 
 
-def _fg_search(S: FiniteSetFamily, p: LargenessParams,
-               domain: Optional[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
+def _fg_search(stems: frozenset[Stem], family: Family, p: LargenessParams,
+               domain: Optional[int]) -> Optional[tuple[int, ...]]:
     """First admissible set (within domain) whose admissible subsets all start
-    with a stem of S: one that holds none of the admissible sets that don't."""
-    stemless = [set(c) for c in _admissible_in(S.family, p, None)
-                if not any(c[:j] in S.stems for j in range(len(c) + 1))]
-    for b in _admissible_in(S.family, p, domain):
-        b_set = set(b)
-        if not any(c <= b_set for c in stemless):
+    with a stem: one that holds none of the admissible sets that don't.
+
+    Only the minimal such stemless sets are kept; in canonical order every
+    proper subset of a set comes before it.
+    """
+    lengths = {len(s) for s in stems}
+    minimal: list[int] = []
+    for c in admissible_subsets(Subfamily.full(family), p):
+        if not any(c[:j] in stems for j in lengths):
+            m = _mask(c)
+            if not any(k & m == k for k in minimal):
+                minimal.append(m)
+    for b, m in _admissible_in(family, p, domain):
+        if not any(k & m == k for k in minimal):
             return b
     return None
 
@@ -141,7 +158,7 @@ def fg_witness(S: FiniteSetFamily, p: LargenessParams) -> FgOutcome:
     """
     if is_dense(S, p) is not TRUE:
         raise ContractError("fg_witness needs a dense stem family")
-    got = _fg_search(S, p, None)
+    got = _fg_search(S.stems, S.family, p, None)
     if got is None:
         return FgOutcome("not_found", None)
     return FgOutcome("witness", Subfamily(S.family, got))
@@ -169,34 +186,33 @@ def nw_homogenize(T: FiniteSetFamily, parts: Sequence,
         raise ContractError("nw_homogenize needs a thin family")
     normalized = partition_of(T, parts)
     fam = T.family
-    stem_parts = [(set(s), i) for i, part in enumerate(normalized) for s in part]
+    part_masks = [[_mask(s) for s in part] for part in normalized]
 
-    def parts_met(b: tuple[int, ...]) -> set[int]:
-        b_set = set(b)
-        return {i for s, i in stem_parts if s <= b_set}
+    def parts_met(m: int) -> set[int]:
+        return {i for i, stems in enumerate(part_masks)
+                if any(s & m == s for s in stems)}
 
-    domain: Optional[tuple[int, ...]] = None
+    domain: Optional[int] = None
     for part_index, part in enumerate(normalized):
         if part_index == len(normalized) - 1:
-            got = next(_admissible_in(fam, p, domain), None)
+            got = next(_admissible_in(fam, p, domain), (None,))[0]
         elif not part:
             continue
         else:
-            sub_family = FiniteSetFamily(fam, part)
-            counter = _density_counterexample(sub_family, p, domain)
+            counter = _density_counterexample(part_masks[part_index], fam, p, domain)
             if counter is not None:
                 # no stem of this part fits inside `counter`: peel the part off
                 domain = counter
                 continue
-            got = _fg_search(sub_family, p, domain)
-        if got is not None and parts_met(got) <= {part_index}:
+            got = _fg_search(part, fam, p, domain)
+        if got is not None and parts_met(_mask(got)) <= {part_index}:
             return NwOutcome("homogeneous", Subfamily(fam, got), part_index)
         break
 
-    for b in _admissible_in(fam, p, None):
+    for b, m in _admissible_in(fam, p, None):
         if not normalized:  # nothing to answer, but large families still raise
             break
-        met = parts_met(b)
+        met = parts_met(m)
         if len(met) <= 1:
             return NwOutcome("homogeneous", Subfamily(fam, b), min(met, default=0))
     return NwOutcome("not_found", None, None)

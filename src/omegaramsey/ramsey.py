@@ -46,18 +46,26 @@ def _stored_as_given(arity: int, colors: int,
     """Whether the key-by-key pass would store `table` unchanged.
 
     True when every key is a strictly increasing `arity`-tuple and every
-    color is an int in range(colors); checked a whole column at a time.
-    Colors are typed one by one, since a set of them would keep 0 and drop
-    an equal 0.0; any other type (bool, float, NaN) is left to that pass,
-    and `range.__contains__` answers for ints without building the range.
+    color is an int in range(colors).  Pairs are checked in one pass of `lt`
+    over the keys, where a key of any other length raises TypeError; other
+    arities check key lengths, then order a whole column at a time.  Colors are typed one by one,
+    since a set of them would keep 0 and drop an equal 0.0; any other type
+    (bool, float, NaN) is left to that pass, and `range.__contains__` answers
+    for ints without building the range.
     """
     try:
-        if set(map(type, table)) != {tuple} or set(map(len, table)) != {arity}:
+        if set(map(type, table)) != {tuple}:
             return False
-        for i in range(arity - 1):
-            if not all(map(lt, map(itemgetter(i), table),
-                           map(itemgetter(i + 1), table))):
+        if arity == 2:
+            if not all(itertools.starmap(lt, table)):
                 return False
+        else:
+            if set(map(len, table)) != {arity}:
+                return False
+            for i in range(arity - 1):
+                if not all(map(lt, map(itemgetter(i), table),
+                               map(itemgetter(i + 1), table))):
+                    return False
         return set(map(type, table.values())) <= {int} and \
             all(map(range(colors).__contains__, set(table.values())))
     except TypeError:
@@ -354,8 +362,9 @@ def _exhaustive_mono(family: Family, f: Coloring, domain: tuple[int, ...],
                 c = color
                 faces = [t + (j,) for t in itertools.combinations(chosen, r - 2)] \
                     if r > 1 else []
-            grow(grown, c,
-                 [k for k in rest if all(f.of(t + (k,)) == c for t in faces)])
+            for t in faces:
+                rest = [k for k in rest if f.of(t + (k,)) == c]
+            grow(grown, c, rest)
 
     grow((), None, sorted(domain))
     return best
