@@ -102,7 +102,8 @@ def _admissible_in(family: Family, p: LargenessParams, domain: Optional[int]
     canonical order, each with its mask.  Raises EngineError on families over
     16 members."""
     masked = ((b, _mask(b)) for b in admissible_subsets(Subfamily.full(family), p))
-    return masked if domain is None else (bm for bm in masked if bm[1] & domain == bm[1])
+    return masked if domain is None else \
+        (bm for bm in masked if bm[1] & domain == bm[1])
 
 
 def _density_counterexample(stems: list[int], family: Family, p: LargenessParams,

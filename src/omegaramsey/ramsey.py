@@ -48,10 +48,10 @@ def _stored_as_given(arity: int, colors: int,
     True when every key is a strictly increasing `arity`-tuple and every
     color is an int in range(colors).  Pairs are checked in one pass of `lt`
     over the keys, where a key of any other length raises TypeError; other
-    arities check key lengths, then order a whole column at a time.  Colors are typed one by one,
-    since a set of them would keep 0 and drop an equal 0.0; any other type
-    (bool, float, NaN) is left to that pass, and `range.__contains__` answers
-    for ints without building the range.
+    arities check key lengths, then order a whole column at a time.  Colors
+    are typed one by one, since a set of them would keep 0 and drop an equal
+    0.0; any other type (bool, float, NaN) is left to that pass, and
+    `range.__contains__` answers for ints without building the range.
     """
     try:
         if set(map(type, table)) != {tuple}:

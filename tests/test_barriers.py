@@ -247,7 +247,7 @@ def _pair_coloring_case(rng: random.Random) -> dict:
 
     Members are 3- and 4-sets of 6 points at d=2, min_size=3, as in the
     twelve-member partition family, so the constructive path often gives up
-    and the fallback scan walks a couple of thousand admissible sets.
+    and the fallback scan walks every admissible set (up to about 6,300).
     """
     members = [sorted(rng.sample(range(1, 7), rng.randint(3, 4)))
                for _ in range(rng.randint(11, 14))]
