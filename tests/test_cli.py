@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from omegaramsey import Subfamily, ellentuck
+from omegaramsey import EngineError, Subfamily, cli, ellentuck
 from omegaramsey.cli import (
     EXIT_ERROR,
     EXIT_NOT_FOUND,
@@ -14,6 +14,7 @@ from omegaramsey.cli import (
     canonical_dumps,
     run,
 )
+from omegaramsey.oracle import OracleSizeError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -77,6 +78,38 @@ SUB = ["--sub", fx("sub_quads_all.json")]
 TREE = ["--family", fx("family_tree4.json"), "--coloring", fx("coloring_tree4.json")]
 GRID = ["--family", fx("family_grid5.json"), "--d", "1", "--minsize", "3"]
 EIGHT = ["--family", fx("family_eight5.json"), "--d", "1", "--minsize", "3"]
+
+
+def invoke_both(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestErrorLabels:
+    """An oracle refusal and the caller-facing errors print `error:`; any
+    other engine error prints `engine error:`."""
+
+    def test_oracle_refusal(self):
+        code, out, err = invoke_both([
+            "oracle-rejects", "--family", fx("family_big64.json"),
+            "--region", fx("region_basic_grid.json"), "--d", "2", "--minsize", "3"])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: reservoir of size 64 exceeds the oracle limit of 12\n"
+
+    @pytest.mark.parametrize("exc,line", [
+        (OracleSizeError("x"), "error: x\n"),
+        (EngineError("y"), "engine error: y\n"),
+    ], ids=["oracle-size", "engine"])
+    def test_label(self, monkeypatch, exc, line):
+        def failing(args, p):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_cover_check", failing)
+        code, out, err = invoke_both(["cover-check", "--family",
+                                      fx("family_quads6.json")] + SUB)
+        assert (code, out, err) == (EXIT_ERROR, "", line)
 
 
 class TestMalformedInput:
