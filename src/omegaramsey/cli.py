@@ -16,7 +16,9 @@ import random
 import sys
 from typing import Optional
 
-from . import barriers, ellentuck, games, ground, mathias, oracle, ramsey
+# ground only: each handler imports the engine modules it uses, so a process
+# pays for those alone
+from . import ground
 
 REPORT_SCHEMA = "omegaramsey-report/1"
 
@@ -66,6 +68,8 @@ def _family(args) -> ground.Family:
 def _basic_inputs(args):
     """The stem, the reservoir (--sub, or the full tail past the stem) and the
     region of an Ellentuck-style query."""
+    from . import ellentuck
+
     fam = _family(args)
     stem = ellentuck.as_stem(args.stem)
     if args.sub:
@@ -77,6 +81,8 @@ def _basic_inputs(args):
 
 
 def _stems_partition(args, fam: ground.Family):
+    from . import barriers
+
     T = barriers.FiniteSetFamily.from_json(_load_json(args.stems), fam)
     try:
         parts = [[tuple(s) for s in part] for part in _load_json(args.partition)]
@@ -126,6 +132,8 @@ def _verdict(outcome) -> dict:
 
 
 def _cmd_decide(args, p):
+    from . import ellentuck
+
     stem, B, region = _basic_inputs(args)
     outcome = ellentuck.decide(B, stem, region, p)
     return _verdict(outcome), EXIT_NOT_FOUND if outcome.kind == "unknown" else EXIT_OK
@@ -136,6 +144,8 @@ def _oracle_agrees(outcome: ellentuck.CrOutcome, region, stem,
     """The oracle's check of the engine's own witness C: an admissible subset
     of the reservoir with every admissible member of [stem, C] inside the
     region ('inside') or outside it ('outside')."""
+    from . import ellentuck, oracle
+
     C = outcome.witness
     if not set(C.indices) <= set(B.indices) or not oracle.brute_admissible(C, p):
         return False
@@ -145,6 +155,8 @@ def _oracle_agrees(outcome: ellentuck.CrOutcome, region, stem,
 
 
 def _cmd_cr_witness(args, p):
+    from . import ellentuck, oracle
+
     stem, B, region = _basic_inputs(args)
     outcome = ellentuck.cr_witness(region, stem, B, p, innings=args.innings,
                                    subset_cap=args.subset_cap)
@@ -155,12 +167,16 @@ def _cmd_cr_witness(args, p):
 
 
 def _cmd_nwd_witness(args, p):
+    from . import ellentuck
+
     stem, B, region = _basic_inputs(args)
     outcome = ellentuck.nwd_witness(region, stem, B, p)
     return _verdict(outcome), EXIT_NOT_FOUND if outcome.kind == "not_found" else EXIT_OK
 
 
 def _one_strategy(args, fam, p) -> games.OneStrategy:
+    from . import ellentuck, games
+
     stem = ellentuck.as_stem(args.stem)
     base = ellentuck.restrict(ground.Subfamily.full(fam), stem)
     if args.one == "constant":
@@ -182,6 +198,8 @@ def _one_strategy(args, fam, p) -> games.OneStrategy:
 
 
 def _cmd_play(args, p):
+    from . import games
+
     one = _one_strategy(args, _family(args), p)
     two = games.GreedyTwo(p) if args.two == "greedy" else games.LeastIndexTwo()
     try:
@@ -193,6 +211,8 @@ def _cmd_play(args, p):
 
 
 def _cmd_s1_select(args, p):
+    from . import games
+
     fam = _family(args)
     covers = [ground.Subfamily.from_json(c, fam) for c in _load_json(args.covers)]
     got = games.s1_select(covers, p)
@@ -202,6 +222,8 @@ def _cmd_s1_select(args, p):
 
 
 def _cmd_ramsey_solve(args, p):
+    from . import oracle, ramsey
+
     fam = _family(args)
     coloring = ramsey.Coloring.from_json(_load_json(args.coloring), fam)
     got = ramsey.solve_partition(fam, coloring, p)
@@ -218,6 +240,8 @@ def _cmd_ramsey_solve(args, p):
 
 
 def _cmd_tree_build(args, p):
+    from . import ramsey
+
     fam = _family(args)
     coloring = ramsey.Coloring.from_json(_load_json(args.coloring), fam)
     tree = ramsey.build_partition_tree(fam, coloring, args.depth)
@@ -227,6 +251,8 @@ def _cmd_tree_build(args, p):
 
 
 def _cmd_nw(args, p):
+    from . import barriers
+
     got = barriers.nw_homogenize(*_stems_partition(args, _family(args)), p)
     if got.kind != "homogeneous":
         return {"verdict": "not_found"}, EXIT_NOT_FOUND
@@ -235,6 +261,8 @@ def _cmd_nw(args, p):
 
 
 def _cmd_fg(args, p):
+    from . import barriers
+
     fam = _family(args)
     S = barriers.FiniteSetFamily.from_json(_load_json(args.stems), fam)
     got = barriers.fg_witness(S, p)
@@ -244,11 +272,15 @@ def _cmd_fg(args, p):
 
 
 def _cmd_mathias_check(args, p):
+    from . import mathias
+
     cond = mathias.Condition.from_json(_load_json(args.condition), _family(args))
     return {"valid": mathias.valid_condition(cond, p)}, EXIT_OK
 
 
 def _cmd_mathias_extends(args, p):
+    from . import mathias
+
     fam = _family(args)
     c1 = mathias.Condition.from_json(_load_json(args.condition), fam)
     c2 = mathias.Condition.from_json(_load_json(args.weaker), fam)
@@ -256,6 +288,8 @@ def _cmd_mathias_extends(args, p):
 
 
 def _cmd_mathias_meet(args, p):
+    from . import mathias
+
     cond = mathias.Condition.from_json(_load_json(args.condition), _family(args))
     floor = args.min_stem_size
 
@@ -269,16 +303,22 @@ def _cmd_mathias_meet(args, p):
 
 
 def _cmd_oracle_accepts(args, p):
+    from . import oracle
+
     stem, B, region = _basic_inputs(args)
     return {"accepts": oracle.brute_accepts(B, stem, region, p)}, EXIT_OK
 
 
 def _cmd_oracle_rejects(args, p):
+    from . import oracle
+
     stem, B, region = _basic_inputs(args)
     return {"rejects": oracle.brute_rejects(B, stem, region, p)}, EXIT_OK
 
 
 def _cmd_oracle_cr(args, p):
+    from . import oracle
+
     stem, B, region = _basic_inputs(args)
     got = oracle.brute_cr(region, stem, B, p)
     if got is None:
@@ -287,6 +327,8 @@ def _cmd_oracle_cr(args, p):
 
 
 def _cmd_oracle_homogeneous(args, p):
+    from . import oracle, ramsey
+
     fam = _family(args)
     coloring = ramsey.Coloring.from_json(_load_json(args.coloring), fam)
     found = oracle.brute_homogeneous(fam, coloring, coloring.arity,
@@ -296,6 +338,8 @@ def _cmd_oracle_homogeneous(args, p):
 
 
 def _cmd_oracle_nw(args, p):
+    from . import oracle
+
     found = oracle.brute_nw(*_stems_partition(args, _family(args)), p)
     return ({"count": len(found), "pairs": [[list(b), i] for b, i in found]},
             EXIT_OK)
@@ -303,6 +347,8 @@ def _cmd_oracle_nw(args, p):
 
 def _cmd_suite(args, p):
     """A compact deterministic battery: pair solving plus decide-vs-oracle."""
+    from . import barriers, ellentuck, mathias, oracle, ramsey
+
     if args.seed is None:
         raise ground.StructuralError("suite needs an explicit --seed")
     rng = random.Random(args.seed)
@@ -519,11 +565,15 @@ def run(argv: Optional[list[str]] = None) -> int:
                                    search_bound=args.search_bound)
         result, code = args.handler(args, p)
     except (ground.StructuralError, ground.ContractError,
-            ground.DegenerateError, oracle.OracleSizeError) as exc:
+            ground.DegenerateError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
     except ground.EngineError as exc:
-        sys.stderr.write(f"engine error: {exc}\n")
+        # an oracle's size refusal is the caller's error; it can only come
+        # from an oracle this process has loaded
+        oracle = sys.modules.get("omegaramsey.oracle")
+        refused = oracle is not None and isinstance(exc, oracle.OracleSizeError)
+        sys.stderr.write(f"{'error' if refused else 'engine error'}: {exc}\n")
         return EXIT_ERROR
     _emit(args, result)
     return code

@@ -1,7 +1,11 @@
-"""The names `import omegaramsey` exports, and where each one comes from."""
+"""The names `import omegaramsey` exports, where each one comes from, and which
+modules a fresh process loads for them."""
 
 import importlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,3 +82,55 @@ def test_from_import_of_a_submodule():
     namespace = {}
     exec("from omegaramsey import barriers", namespace)
     assert namespace["barriers"] is sys.modules["omegaramsey.barriers"]
+
+
+# --- what a fresh interpreter loads ---------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(omegaramsey.__file__).resolve().parent.parent
+
+#: runs the code in argv[1], then prints the omegaramsey modules it loaded
+PROBE = """
+import io, sys
+from contextlib import redirect_stdout
+with redirect_stdout(io.StringIO()):
+    exec(sys.argv[1])
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "omegaramsey")))
+"""
+
+BASE = {"omegaramsey", "omegaramsey.cli", "omegaramsey.ground"}
+ENGINE = {f"omegaramsey.{m}" for m in (
+    "ground", "ellentuck", "games", "ramsey", "barriers", "mathias", "oracle")}
+
+
+def loaded_by(code: str) -> set[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", PROBE, code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return set(done.stdout.split())
+
+
+def cli_run(*argv: str) -> str:
+    args = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    return f"from omegaramsey import cli; assert cli.run({args!r}) == 0"
+
+
+@pytest.mark.parametrize("code,modules", [
+    ("import omegaramsey", {"omegaramsey"}),
+    ("from omegaramsey import barriers; assert barriers.__file__",
+     {"omegaramsey", "omegaramsey.barriers", "omegaramsey.ellentuck",
+      "omegaramsey.ground"}),
+    (cli_run("cover-check", "--family", "family_quads6.json",
+             "--sub", "sub_quads_all.json"), BASE),
+    (cli_run("tree-build", "--family", "family_tree4.json",
+             "--coloring", "coloring_tree4.json", "--d", "1"),
+     BASE | {"omegaramsey.ramsey"}),
+    (cli_run("decide", "--family", "family_grid5.json",
+             "--region", "region_basic_grid.json", "--d", "1", "--stem", "1"),
+     BASE | {"omegaramsey.ellentuck"}),
+    (cli_run("suite", "--seed", "7", "--cases", "2"),
+     {"omegaramsey", "omegaramsey.cli"} | ENGINE),
+], ids=["import", "from-import-submodule", "cover-check", "tree-build", "decide", "suite"])
+def test_fresh_process_loads_only_what_it_uses(code, modules):
+    assert loaded_by(code) == modules
