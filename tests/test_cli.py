@@ -323,6 +323,22 @@ class TestDeterminismAndRoundTrip:
         assert out.startswith("cover-check:")
 
 
+class TestConsoleScriptArgv:
+    """run(None), the console script's path, reads its arguments from sys.argv."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cover-check", "--family", fx("family_quads6.json"), "--sub",
+         fx("sub_quads_all.json"), "--d", "2", "--minsize", "3"],
+        ["cover-check", "--family", fx("family_quads6.json"), "--bogus"],
+        ["--help"],
+        [],
+    ], ids=["report", "unknown-option", "top-help", "no-arguments"])
+    def test_run_none_reads_sys_argv(self, monkeypatch, argv):
+        expected = invoke_both(list(argv))
+        monkeypatch.setattr("sys.argv", ["omegaramsey"] + argv)
+        assert invoke_both(None) == expected
+
+
 class TestBudgetEnvVar:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("OMEGARAMSEY_SEARCH_BOUND", "2")

@@ -1,8 +1,8 @@
 """Byte-exact CLI output: stdout, stderr and exit code of fixed invocations.
 
-Every subcommand, every ONE strategy, the text format, a help page and the
-file and usage errors are pinned here, so a change to the front end that
-alters any report shows up as a diff.  The expected outputs live in
+Every subcommand, every ONE strategy, the text format, the top-level and a
+subcommand help page, and the file and usage errors are pinned here, so a
+change to the front end that alters any report shows up as a diff.  The expected outputs live in
 tests/golden/cli_reports.json.  After an intended change of output,
 rewrite them from the repository root with
 
@@ -91,6 +91,13 @@ CASES = {
     "suite": (["suite", "--seed", "7"], None),
     "suite-no-seed": (["suite", "--cases", "2"], None),
     "help": (["cover-check", "--help"], None),
+    "help-top": (["--help"], None),
+    "no-arguments": ([], None),
+    "unknown-subcommand": (["no-such-command", "--d", "1"], None),
+    "unknown-option": (["cover-check"] + QUADS + ["--sub", F + "sub_quads_all.json",
+                                                  "--bogus"], None),
+    "invalid-int": (["cover-check"] + QUADS + ["--sub", F + "sub_quads_all.json",
+                                               "--d", "x"], None),
     "missing-file": (["cover-check", "--family", "missing.json",
                       "--sub", F + "sub_quads_all.json"], None),
     "malformed-json": (["cover-check", "--family", "tests/golden/truncated_family.json",
