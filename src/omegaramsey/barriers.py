@@ -12,7 +12,6 @@ exhaustive scan as the safety net.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .ground import (
@@ -22,6 +21,7 @@ from .ground import (
     ContractError,
     Family,
     LargenessParams,
+    Record,
     StructuralError,
     Subfamily,
     ThreeVal,
@@ -30,20 +30,20 @@ from .ground import (
 from .ellentuck import Stem, as_stem
 
 
-@dataclass(frozen=True)
-class FiniteSetFamily:
+class FiniteSetFamily(Record):
     """A set of stems over a family's index range."""
 
-    family: Family
-    stems: frozenset[Stem]
+    __slots__ = ("family", "stems")
 
-    def __post_init__(self) -> None:
-        n = len(self.family)
-        for stem in self.stems:
+    def __init__(self, family: Family, stems: frozenset[Stem]) -> None:
+        n = len(family)
+        for stem in stems:
             if stem != as_stem(stem):
                 raise StructuralError(f"stem {stem} is not sorted and duplicate free")
             if stem and stem[-1] > n:
                 raise StructuralError(f"stem {stem} exceeds the index range 1..{n}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "stems", stems)
 
     @classmethod
     def of(cls, family: Family, stems) -> "FiniteSetFamily":
@@ -124,10 +124,14 @@ def is_dense(S: FiniteSetFamily, p: LargenessParams) -> ThreeVal:
     return ThreeVal.of(_density_counterexample(stems, S.family, p, None) is None)
 
 
-@dataclass(frozen=True)
-class FgOutcome:
-    kind: str                     # "witness" | "not_found"
-    witness: Optional[Subfamily]
+class FgOutcome(Record):
+    """kind is 'witness' or 'not_found'."""
+
+    __slots__ = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: Optional[Subfamily]) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
 
 
 def _fg_search(stems: frozenset[Stem], family: Family, p: LargenessParams,
@@ -165,11 +169,15 @@ def fg_witness(S: FiniteSetFamily, p: LargenessParams) -> FgOutcome:
     return FgOutcome("witness", Subfamily(S.family, got))
 
 
-@dataclass(frozen=True)
-class NwOutcome:
-    kind: str                     # "homogeneous" | "not_found"
-    witness: Optional[Subfamily]
-    part: Optional[int]           # 0-based part index
+class NwOutcome(Record):
+    """kind is 'homogeneous' or 'not_found'; part is a 0-based part index."""
+
+    __slots__ = ("kind", "witness", "part")
+
+    def __init__(self, kind: str, witness: Optional[Subfamily], part: Optional[int]) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "part", part)
 
 
 def nw_homogenize(T: FiniteSetFamily, parts: Sequence,

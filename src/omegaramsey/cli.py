@@ -12,7 +12,6 @@ import argparse
 import itertools
 import json
 import os
-import random
 import sys
 from typing import Optional
 
@@ -347,6 +346,8 @@ def _cmd_oracle_nw(args, p):
 
 def _cmd_suite(args, p):
     """A compact deterministic battery: pair solving plus decide-vs-oracle."""
+    import random
+
     from . import barriers, ellentuck, mathias, oracle, ramsey
 
     if args.seed is None:
@@ -450,110 +451,106 @@ def _add_common(sp: argparse.ArgumentParser, family: bool = True) -> None:
     sp.add_argument("--seed", type=int, default=None)
 
 
-def _add_stem_region(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--stem", type=int, nargs="*", default=[])
-    sp.add_argument("--sub", help="reservoir JSON (defaults to the full tail)")
-    sp.add_argument("--region", required=True, help="region JSON file")
+def _option(flag: str, **kwargs) -> tuple[str, dict]:
+    return flag, kwargs
 
 
-def _command(sub, name: str, handler, help: str,
-             family: bool = True) -> argparse.ArgumentParser:
-    sp = sub.add_parser(name, help=help)
-    _add_common(sp, family)
-    sp.set_defaults(handler=handler)
-    return sp
+_STEM_REGION = (
+    _option("--stem", type=int, nargs="*", default=[]),
+    _option("--sub", help="reservoir JSON (defaults to the full tail)"),
+    _option("--region", required=True, help="region JSON file"),
+)
+_INNINGS_CAP = (
+    _option("--innings", type=int, default=4),
+    _option("--subset-cap", dest="subset_cap", type=int, default=3),
+)
+_STEMS_PARTITION = (
+    _option("--stems", required=True),
+    _option("--partition", required=True),
+)
+
+#: subcommand -> (help line, its options after the common ones, in help order),
+#: in the order the top-level help lists them.  The handler of a subcommand is
+#: _cmd_<its name with "_" for "-">, looked up when its parser is built.
+_COMMANDS = {
+    "cover-check": ("depth-d cover check", (_option("--sub", required=True),)),
+    "decide": ("accept-or-reject search", _STEM_REGION),
+    "cr-witness": ("inside/outside witness search", _STEM_REGION + _INNINGS_CAP),
+    "nwd-witness": ("avoidance witness search", _STEM_REGION),
+    "play": ("run a bounded play of the selection game", (
+        _option("--one", choices=("constant", "fusion", "meager"), required=True),
+        _option("--two", choices=("greedy", "least"), default="greedy"),
+        *_INNINGS_CAP,
+        _option("--stem", type=int, nargs="*", default=[]),
+        _option("--one-move", dest="one_move", help="move JSON for the constant strategy"),
+        _option("--region", help="region JSON for the fusion strategy"),
+        _option("--ladder", help="JSON list of regions for avoidance"),
+    )),
+    "s1-select": ("one pick per cover, admissible union", (
+        _option("--covers", required=True, help="JSON list of subfamily index arrays"),)),
+    "ramsey-solve": ("find a monochromatic subfamily", (
+        _option("--coloring", required=True),)),
+    "tree-build": ("materialize the pivot tree", (
+        _option("--coloring", required=True),
+        _option("--depth", type=int, default=4),
+    )),
+    "nw": ("homogenize a partition of a thin family", _STEMS_PARTITION),
+    "fg": ("initial-segment witness for a dense family", (
+        _option("--stems", required=True),)),
+    "mathias-check": ("validate a condition", (_option("--condition", required=True),)),
+    "mathias-extends": ("test the extension order", (
+        _option("--condition", required=True),
+        _option("--weaker", required=True),
+    )),
+    "mathias-meet": ("meet a stem-size requirement", (
+        _option("--condition", required=True),
+        _option("--min-stem-size", dest="min_stem_size", type=int, required=True),
+    )),
+    "oracle-accepts": ("brute-force accepts evaluation", _STEM_REGION),
+    "oracle-rejects": ("brute-force rejects evaluation", _STEM_REGION),
+    "oracle-cr": ("brute-force cr evaluation", _STEM_REGION),
+    "oracle-homogeneous": ("brute-force homogeneous evaluation", (
+        _option("--coloring", required=True),
+        _option("--min-set-size", dest="min_set_size", type=int, default=1),
+    )),
+    "oracle-nw": ("brute-force nw evaluation", _STEMS_PARTITION),
+    "suite": ("compact deterministic check battery", (
+        _option("--cases", type=int, default=20),)),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with `command` one holding only that
+    subcommand's parser.
+
+    The one-subcommand parser still names every subcommand in its usage, so
+    a process that parses one subcommand's arguments prints the same usage,
+    help and errors without building the other eighteen parsers.
+    """
     parser = argparse.ArgumentParser(
         prog="omegaramsey",
         description="Finite engine for cover-family Ramsey combinatorics")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = _command(sub, "cover-check", _cmd_cover_check, "depth-d cover check")
-    sp.add_argument("--sub", required=True)
-
-    _add_stem_region(_command(sub, "decide", _cmd_decide,
-                              "accept-or-reject search"))
-
-    sp = _command(sub, "cr-witness", _cmd_cr_witness,
-                  "inside/outside witness search")
-    _add_stem_region(sp)
-    sp.add_argument("--innings", type=int, default=4)
-    sp.add_argument("--subset-cap", dest="subset_cap", type=int, default=3)
-
-    _add_stem_region(_command(sub, "nwd-witness", _cmd_nwd_witness,
-                              "avoidance witness search"))
-
-    sp = _command(sub, "play", _cmd_play,
-                  "run a bounded play of the selection game")
-    sp.add_argument("--one", choices=("constant", "fusion", "meager"),
-                    required=True)
-    sp.add_argument("--two", choices=("greedy", "least"), default="greedy")
-    sp.add_argument("--innings", type=int, default=4)
-    sp.add_argument("--subset-cap", dest="subset_cap", type=int, default=3)
-    sp.add_argument("--stem", type=int, nargs="*", default=[])
-    sp.add_argument("--one-move", dest="one_move",
-                    help="move JSON for the constant strategy")
-    sp.add_argument("--region", help="region JSON for the fusion strategy")
-    sp.add_argument("--ladder", help="JSON list of regions for avoidance")
-
-    sp = _command(sub, "s1-select", _cmd_s1_select,
-                  "one pick per cover, admissible union")
-    sp.add_argument("--covers", required=True,
-                    help="JSON list of subfamily index arrays")
-
-    sp = _command(sub, "ramsey-solve", _cmd_ramsey_solve,
-                  "find a monochromatic subfamily")
-    sp.add_argument("--coloring", required=True)
-
-    sp = _command(sub, "tree-build", _cmd_tree_build, "materialize the pivot tree")
-    sp.add_argument("--coloring", required=True)
-    sp.add_argument("--depth", type=int, default=4)
-
-    sp = _command(sub, "nw", _cmd_nw, "homogenize a partition of a thin family")
-    sp.add_argument("--stems", required=True)
-    sp.add_argument("--partition", required=True)
-
-    sp = _command(sub, "fg", _cmd_fg, "initial-segment witness for a dense family")
-    sp.add_argument("--stems", required=True)
-
-    sp = _command(sub, "mathias-check", _cmd_mathias_check, "validate a condition")
-    sp.add_argument("--condition", required=True)
-
-    sp = _command(sub, "mathias-extends", _cmd_mathias_extends,
-                  "test the extension order")
-    sp.add_argument("--condition", required=True)
-    sp.add_argument("--weaker", required=True)
-
-    sp = _command(sub, "mathias-meet", _cmd_mathias_meet,
-                  "meet a stem-size requirement")
-    sp.add_argument("--condition", required=True)
-    sp.add_argument("--min-stem-size", dest="min_stem_size", type=int,
-                    required=True)
-
-    for op, handler in (("accepts", _cmd_oracle_accepts),
-                        ("rejects", _cmd_oracle_rejects),
-                        ("cr", _cmd_oracle_cr)):
-        _add_stem_region(_command(sub, f"oracle-{op}", handler,
-                                  f"brute-force {op} evaluation"))
-    sp = _command(sub, "oracle-homogeneous", _cmd_oracle_homogeneous,
-                  "brute-force homogeneous evaluation")
-    sp.add_argument("--coloring", required=True)
-    sp.add_argument("--min-set-size", dest="min_set_size", type=int, default=1)
-    sp = _command(sub, "oracle-nw", _cmd_oracle_nw, "brute-force nw evaluation")
-    sp.add_argument("--stems", required=True)
-    sp.add_argument("--partition", required=True)
-
-    sp = _command(sub, "suite", _cmd_suite, "compact deterministic check battery",
-                  family=False)
-    sp.add_argument("--cases", type=int, default=20)
-
+    if command is None:
+        names, metavar = list(_COMMANDS), None
+    else:
+        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        summary, options = _COMMANDS[name]
+        sp = sub.add_parser(name, help=summary)
+        _add_common(sp, family=name != "suite")
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(handler=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a known subcommand first: build its parser alone; anything else (help,
+    # no arguments, an unknown word) gets the full parser and its messages
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

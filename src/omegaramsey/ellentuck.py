@@ -15,7 +15,6 @@ the other (the completely Ramsey property at finite scale).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
@@ -28,6 +27,7 @@ from .ground import (
     DegenerateError,
     Family,
     LargenessParams,
+    Record,
     StructuralError,
     Subfamily,
     ThreeVal,
@@ -69,18 +69,26 @@ def restrict(B: Subfamily, s: Iterable[int]) -> Subfamily:
     return Subfamily(B.family, tuple(i for i in B.indices if i > cut))
 
 
-@dataclass(frozen=True)
-class EllentuckBasic:
+class EllentuckBasic(Record):
     """A basic set [s, B]: stem plus reservoir, with s < B."""
 
-    stem: Stem
-    reservoir: Subfamily
+    __slots__ = ("stem", "reservoir")
 
-    def __post_init__(self) -> None:
-        if self.stem != as_stem(self.stem):
+    def __init__(self, stem: Stem, reservoir: Subfamily) -> None:
+        if stem != as_stem(stem):
             raise StructuralError("basic stem must be sorted and duplicate free")
-        if not precedes(self.stem, self.reservoir):
+        if not precedes(stem, reservoir):
             raise ContractError("basic needs stem < reservoir")
+        object.__setattr__(self, "stem", stem)
+        object.__setattr__(self, "reservoir", reservoir)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.stem, self.reservoir) == (other.stem, other.reservoir)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.stem, self.reservoir))
 
     def to_json(self) -> dict:
         return {"stem": list(self.stem), "reservoir": self.reservoir.to_json()}
@@ -108,15 +116,27 @@ def basic_contains(b: EllentuckBasic, D: Subfamily) -> bool:
 class Region:
     """A set of admissible subfamilies with a total membership test."""
 
+    __slots__ = ()
+
     def contains(self, D: Subfamily) -> bool:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ExplicitRegion(Region):
+class ExplicitRegion(Region, Record):
     """A finite list of subfamilies, held as index tuples."""
 
-    member_sets: frozenset[tuple[int, ...]]
+    __slots__ = ("member_sets",)
+
+    def __init__(self, member_sets: frozenset[tuple[int, ...]]) -> None:
+        object.__setattr__(self, "member_sets", member_sets)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.member_sets,) == (other.member_sets,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.member_sets,))
 
     @classmethod
     def of(cls, subfamilies: Iterable[Subfamily]) -> "ExplicitRegion":
@@ -130,62 +150,110 @@ class ExplicitRegion(Region):
         return D.indices in self.member_sets
 
 
-@dataclass(frozen=True)
-class BasicUnionRegion(Region):
+class BasicUnionRegion(Region, Record):
     """A finite union of Ellentuck basics; the open sets of the engine."""
 
-    basics: tuple[EllentuckBasic, ...]
+    __slots__ = ("basics",)
+
+    def __init__(self, basics: tuple[EllentuckBasic, ...]) -> None:
+        object.__setattr__(self, "basics", basics)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.basics,) == (other.basics,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.basics,))
 
     def contains(self, D: Subfamily) -> bool:
         return any(basic_contains(b, D) for b in self.basics)
 
 
-@dataclass(frozen=True, eq=False)
-class PredicateRegion(Region):
-    """A region given by an effect-free, total predicate on subfamilies."""
+class PredicateRegion(Region, Record):
+    """A region given by an effect-free, total predicate on subfamilies.
 
-    fn: Callable[[Subfamily], bool]
-    label: str = "predicate"
+    Two predicate regions are equal only when they are the same object.
+    """
+
+    __slots__ = ("fn", "label")
+
+    def __init__(self, fn: Callable[[Subfamily], bool], label: str = "predicate") -> None:
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "label", label)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def contains(self, D: Subfamily) -> bool:
         return bool(self.fn(D))
 
 
-@dataclass(frozen=True)
-class UnionRegion(Region):
-    parts: tuple[Region, ...]
+class UnionRegion(Region, Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Region, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parts,) == (other.parts,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     def contains(self, D: Subfamily) -> bool:
         return any(r.contains(D) for r in self.parts)
 
 
-@dataclass(frozen=True)
-class IntersectionRegion(Region):
-    parts: tuple[Region, ...]
+class IntersectionRegion(Region, Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Region, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parts,) == (other.parts,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     def contains(self, D: Subfamily) -> bool:
         return all(r.contains(D) for r in self.parts)
 
 
-@dataclass(frozen=True)
-class ComplementRegion(Region):
+class ComplementRegion(Region, Record):
     """Complement relative to the admissible subfamilies (the ambient space)."""
 
-    inner: Region
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Region) -> None:
+        object.__setattr__(self, "inner", inner)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.inner,) == (other.inner,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.inner,))
 
     def contains(self, D: Subfamily) -> bool:
         return not self.inner.contains(D)
 
 
-@dataclass(frozen=True)
-class MeagerPresentation:
+class MeagerPresentation(Record):
     """An increasing finite ladder of regions, each intended nowhere dense."""
 
-    levels: tuple[Region, ...]
+    __slots__ = ("levels",)
 
-    def __post_init__(self) -> None:
-        if not self.levels:
+    def __init__(self, levels: tuple[Region, ...]) -> None:
+        if not levels:
             raise StructuralError("a meager presentation needs at least one level")
+        object.__setattr__(self, "levels", levels)
 
     def level(self, k: int) -> Region:
         """1-based level access, clamped at the top (the ladder is increasing)."""
@@ -234,36 +302,44 @@ def region_from_json(data: dict, family: Family) -> Region:
 
 # --- accept / reject / decide ------------------------------------------------
 
-@dataclass(frozen=True)
-class DecideOutcome:
+class DecideOutcome(Record):
     """kind is 'accepts', 'rejects' or 'unknown'; witness carries the set."""
 
-    kind: str
-    witness: Optional[Subfamily]
+    __slots__ = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: Optional[Subfamily]) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class CrOutcome:
+class CrOutcome(Record):
     """kind is 'inside', 'outside' or 'not_found'."""
 
-    kind: str
-    witness: Optional[Subfamily]
+    __slots__ = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: Optional[Subfamily]) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class NwdOutcome:
+class NwdOutcome(Record):
     """kind is 'witness' or 'not_found'."""
 
-    kind: str
-    witness: Optional[Subfamily]
+    __slots__ = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: Optional[Subfamily]) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class StrongRejectResult:
+class StrongRejectResult(Record):
     """The element-wise rejection filter, plus whether it stayed admissible."""
 
-    subfamily: Subfamily
-    admissible: ThreeVal
+    __slots__ = ("subfamily", "admissible")
+
+    def __init__(self, subfamily: Subfamily, admissible: ThreeVal) -> None:
+        object.__setattr__(self, "subfamily", subfamily)
+        object.__setattr__(self, "admissible", admissible)
 
 
 def _require_precedes(s: Stem, B: Subfamily) -> None:

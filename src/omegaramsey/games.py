@@ -14,7 +14,6 @@ and emits checkable certificates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ground import (
@@ -26,6 +25,7 @@ from .ground import (
     EngineError,
     Family,
     LargenessParams,
+    Record,
     StructuralError,
     Subfamily,
     ThreeVal,
@@ -58,16 +58,19 @@ class StrategyFault(EngineError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Transcript:
-    """A bounded play: ONE's moves, TWO's picks, the verdict, and ONE's state
-    after its last move."""
+class Transcript(Record):
+    """A bounded play: ONE's moves, TWO's picks, the verdict ("ONE", "TWO" or
+    "unknown"), and ONE's state after its last move."""
 
-    moves: tuple[Subfamily, ...]
-    picks: tuple[int, ...]
-    winner: str  # "ONE" | "TWO" | "unknown"
-    state: dict
-    certificates: tuple[dict, ...] = ()
+    __slots__ = ("moves", "picks", "winner", "state", "certificates")
+
+    def __init__(self, moves: tuple[Subfamily, ...], picks: tuple[int, ...], winner: str,
+                 state: dict, certificates: tuple[dict, ...] = ()) -> None:
+        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "picks", picks)
+        object.__setattr__(self, "winner", winner)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "certificates", certificates)
 
     def to_json(self) -> dict:
         return {
@@ -183,14 +186,18 @@ def two_wins(t: Transcript, p: LargenessParams) -> ThreeVal:
     return two_wins_picks(t.moves[0].family, t.picks, p)
 
 
-@dataclass(frozen=True)
-class Selection:
-    indices: tuple[int, ...]
+class Selection(Record):
+    __slots__ = ("indices",)
+
+    def __init__(self, indices: tuple[int, ...]) -> None:
+        object.__setattr__(self, "indices", indices)
 
 
-@dataclass(frozen=True)
-class NotFound:
-    reason: str = ""
+class NotFound(Record):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str = "") -> None:
+        object.__setattr__(self, "reason", reason)
 
 
 def s1_select(covers: Sequence[Subfamily], p: LargenessParams):
@@ -307,19 +314,25 @@ class FusionOne(OneStrategy):
                            "table": tuple(sorted(table.items()))}
 
 
-@dataclass(frozen=True)
-class DecidedAll:
-    """A finished fusion run: terminal set, picks, and the verdict table."""
+class DecidedAll(Record):
+    """A finished fusion run: terminal set (base stem together with the
+    picks), the picks alone, and the verdict table."""
 
-    terminal: Subfamily           # base stem together with the picks
-    picks: Subfamily              # the picks alone
-    table: tuple[tuple[Stem, str], ...]
+    __slots__ = ("terminal", "picks", "table")
+
+    def __init__(self, terminal: Subfamily, picks: Subfamily,
+                 table: tuple[tuple[Stem, str], ...]) -> None:
+        object.__setattr__(self, "terminal", terminal)
+        object.__setattr__(self, "picks", picks)
+        object.__setattr__(self, "table", table)
 
 
-@dataclass(frozen=True)
-class DecideAllFailed:
-    inning: Optional[int]
-    reason: str
+class DecideAllFailed(Record):
+    __slots__ = ("inning", "reason")
+
+    def __init__(self, inning: Optional[int], reason: str) -> None:
+        object.__setattr__(self, "inning", inning)
+        object.__setattr__(self, "reason", reason)
 
 
 def decide_all_finite(t: Stem, B: Subfamily, R: Region, innings: int,

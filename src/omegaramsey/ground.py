@@ -16,7 +16,6 @@ universe size.  That restriction is the price of working at finite scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -96,34 +95,80 @@ def subsets_lazy(pool: Iterable[int], min_size: int = 0) -> Iterator[tuple[int, 
         yield from itertools.combinations(items, size)
 
 
-@dataclass(frozen=True)
-class Universe:
+class Record:
+    """Base of the engine's immutable value records.
+
+    A record class names its fields in `__slots__`, in declaration order, and
+    writes an `__init__` that validates its arguments and sets each field
+    with `object.__setattr__`.  Records print as `Name(field=value, ...)`,
+    are equal when they are of one class with equal field tuples, hash as
+    their field tuple, refuse assignment and deletion, and copy and pickle
+    by calling their class with their field values.  Records used as cache
+    keys define `__eq__` and `__hash__` over their fields inline, which is
+    faster than the generic pair here.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Universe(Record):
     """A finite point universe; points are 1..size."""
 
-    size: int
+    __slots__ = ("size",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 2:
-            raise StructuralError(f"universe size must be an integer >= 2, got {self.size!r}")
+    def __init__(self, size: int) -> None:
+        if not isinstance(size, int) or size < 2:
+            raise StructuralError(f"universe size must be an integer >= 2, got {size!r}")
+        object.__setattr__(self, "size", size)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.size,) == (other.size,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.size,))
 
     def points(self) -> range:
         return range(1, self.size + 1)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """An indexed sequence of proper nonempty point sets.
 
     Indices are 1-based and fixed: they are labels, so duplicate point sets at
     distinct indices are allowed.
     """
 
-    universe: Universe
-    members: tuple[frozenset[int], ...]
+    __slots__ = ("universe", "members")
 
-    def __post_init__(self) -> None:
-        pts = set(self.universe.points())
-        for i, m in enumerate(self.members, start=1):
+    def __init__(self, universe: Universe, members: tuple[frozenset[int], ...]) -> None:
+        pts = set(universe.points())
+        for i, m in enumerate(members, start=1):
             if not isinstance(m, frozenset):
                 raise StructuralError(f"member {i} must be a frozenset")
             if not m:
@@ -132,6 +177,16 @@ class Family:
                 raise StructuralError(f"member {i} has points outside the universe")
             if m == pts:
                 raise StructuralError(f"member {i} equals the whole universe")
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.universe, self.members) == (other.universe, other.members)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.universe, self.members))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -164,22 +219,30 @@ class Family:
             raise StructuralError(f"malformed family JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Subfamily:
+class Subfamily(Record):
     """A sorted set of indices into a Family."""
 
-    family: Family
-    indices: tuple[int, ...]
+    __slots__ = ("family", "indices")
 
-    def __post_init__(self) -> None:
-        n = len(self.family)
+    def __init__(self, family: Family, indices: tuple[int, ...]) -> None:
+        n = len(family)
         last = 0
-        for i in self.indices:
+        for i in indices:
             if not isinstance(i, int) or not 1 <= i <= n:
                 raise StructuralError(f"index {i!r} out of range 1..{n}")
             if i <= last:
                 raise StructuralError("indices must be strictly increasing")
             last = i
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "indices", indices)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.indices) == (other.family, other.indices)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.indices))
 
     @classmethod
     def of(cls, family: Family, indices: Iterable[int]) -> "Subfamily":
@@ -211,8 +274,7 @@ class Subfamily:
             raise StructuralError(f"malformed subfamily JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class LargenessParams:
+class LargenessParams(Record):
     """Parameters of the largeness predicate and the search budgets.
 
     d is the cover depth, min_size the size gate for admissibility, and
@@ -220,29 +282,41 @@ class LargenessParams:
     answers UNKNOWN.
     """
 
-    d: int
-    min_size: int
-    search_bound: int = 1_000_000
+    __slots__ = ("d", "min_size", "search_bound")
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
+    def __init__(self, d: int, min_size: int, search_bound: int = 1_000_000) -> None:
+        if d < 1:
             raise StructuralError("cover depth d must be >= 1")
-        if self.min_size < 1:
+        if min_size < 1:
             raise StructuralError("min_size must be >= 1")
-        if self.search_bound < 1:
+        if search_bound < 1:
             raise StructuralError("search_bound must be >= 1")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "min_size", min_size)
+        object.__setattr__(self, "search_bound", search_bound)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.d, self.min_size, self.search_bound)
+                    == (other.d, other.min_size, other.search_bound))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.min_size, self.search_bound))
 
 
-@dataclass(frozen=True)
-class CoverVerdict:
+class CoverVerdict(Record):
     """Outcome of a depth-d cover check.
 
     status TRUE means cover; FALSE carries a concrete uncovered point set as
     witness; UNKNOWN means the enumeration budget ran out first.
     """
 
-    status: ThreeVal
-    witness: Optional[frozenset[int]] = None
+    __slots__ = ("status", "witness")
+
+    def __init__(self, status: ThreeVal, witness: Optional[frozenset[int]] = None) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
 
 
 def _check_depth(family: Family, p: LargenessParams) -> None:

@@ -9,7 +9,6 @@ generic object the poset builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .ground import (
@@ -17,6 +16,7 @@ from .ground import (
     TRUE,
     Family,
     LargenessParams,
+    Record,
     StructuralError,
     Subfamily,
     admissible,
@@ -26,16 +26,16 @@ from .ground import (
 from .ellentuck import Stem, as_stem, precedes, restrict
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Record):
     """A stem and a side; validity against params is checked separately."""
 
-    stem: Stem
-    side: Subfamily
+    __slots__ = ("stem", "side")
 
-    def __post_init__(self) -> None:
-        if self.stem != as_stem(self.stem):
+    def __init__(self, stem: Stem, side: Subfamily) -> None:
+        if stem != as_stem(stem):
             raise StructuralError("condition stem must be sorted and duplicate free")
+        object.__setattr__(self, "stem", stem)
+        object.__setattr__(self, "side", side)
 
     @property
     def family(self) -> Family:
@@ -100,18 +100,18 @@ def compatible(c1: Condition, c2: Condition,
     return candidate
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """A descending sequence of conditions; each entry refines its predecessor."""
 
-    conditions: tuple[Condition, ...]
+    __slots__ = ("conditions",)
 
-    def __post_init__(self) -> None:
-        if not self.conditions:
+    def __init__(self, conditions: tuple[Condition, ...]) -> None:
+        if not conditions:
             raise StructuralError("a chain needs at least one condition")
-        for earlier, later in zip(self.conditions, self.conditions[1:]):
+        for earlier, later in zip(conditions, conditions[1:]):
             if not extends(later, earlier):
                 raise StructuralError("chain entries must extend their predecessors")
+        object.__setattr__(self, "conditions", conditions)
 
 
 def gamma_eval(chain: Chain) -> Stem:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import itemgetter, lt
 from typing import Callable, Optional
 
@@ -29,6 +28,7 @@ from .ground import (
     Family,
     InternalCheckError,
     LargenessParams,
+    Record,
     StructuralError,
     Subfamily,
     ThreeVal,
@@ -136,13 +136,16 @@ class Coloring:
         return coloring
 
 
-@dataclass(frozen=True)
-class PartitionTree:
+class PartitionTree(Record):
     """Binary tree of index sets: node paths are color strings."""
 
-    family: Family
-    depth: int
-    nodes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    __slots__ = ("family", "depth", "nodes")
+
+    def __init__(self, family: Family, depth: int,
+                 nodes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "nodes", nodes)
 
     def node(self, path: tuple[int, ...]) -> tuple[int, ...]:
         found = dict(self.nodes).get(path)
@@ -154,18 +157,21 @@ class PartitionTree:
         return [(path, content) for path, content in self.nodes if len(path) == k]
 
 
-@dataclass(frozen=True)
-class BranchResult:
+class BranchResult(Record):
     """The pivots collected along a walked branch and the branch colors.
 
     The walk runs over `domain` in increasing order: the pivot of level m is
     domain[m-1], and colors[m-1] is the color kept at that level.
     """
 
-    family: Family
-    pivots: tuple[int, ...]
-    colors: tuple[int, ...]
-    domain: tuple[int, ...]
+    __slots__ = ("family", "pivots", "colors", "domain")
+
+    def __init__(self, family: Family, pivots: tuple[int, ...], colors: tuple[int, ...],
+                 domain: tuple[int, ...]) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "domain", domain)
 
 
 def _split(content: tuple[int, ...], pivot: int,
@@ -299,14 +305,17 @@ def pair_size_guarantee(n: int) -> int:
     return math.ceil(math.floor(math.log2(n)) / 2) + 1
 
 
-@dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(Record):
     """A verified monochromatic set, its color, and how it was found."""
 
-    subfamily: Subfamily
-    color: int
-    admissible: ThreeVal
-    route: str
+    __slots__ = ("subfamily", "color", "admissible", "route")
+
+    def __init__(self, subfamily: Subfamily, color: int, admissible: ThreeVal,
+                 route: str) -> None:
+        object.__setattr__(self, "subfamily", subfamily)
+        object.__setattr__(self, "color", color)
+        object.__setattr__(self, "admissible", admissible)
+        object.__setattr__(self, "route", route)
 
 
 def _exhaustive_mono(family: Family, f: Coloring, domain: tuple[int, ...],
@@ -675,27 +684,37 @@ def solve_partition(family: Family, f: Coloring,
 
 # --- the splitting step of the no-homogeneous-set analysis --------------------
 
-@dataclass(frozen=True)
-class Step:
-    """A level where the candidate set escapes every admissible node."""
+class Step(Record):
+    """A level where the candidate set escapes every admissible node.
 
-    k: int
-    node_path: tuple[int, ...]
-    node: tuple[int, ...]
-    escape: int                    # an index of B past k outside the node
-    continuation: Subfamily        # B past k, intersected with the node
+    escape is an index of B past k outside the node, and continuation is B
+    past k, intersected with the node.
+    """
+
+    __slots__ = ("k", "node_path", "node", "escape", "continuation")
+
+    def __init__(self, k: int, node_path: tuple[int, ...], node: tuple[int, ...],
+                 escape: int, continuation: Subfamily) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "node_path", node_path)
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "escape", escape)
+        object.__setattr__(self, "continuation", continuation)
 
 
-@dataclass(frozen=True)
-class NoStep:
+class NoStep(Record):
     """No level within the tree depth splits the candidate set."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class LargenessFailure:
+
+class LargenessFailure(Record):
     """A level split the set, but no admissible node met it admissibly."""
 
-    k: int
+    __slots__ = ("k",)
+
+    def __init__(self, k: int) -> None:
+        object.__setattr__(self, "k", k)
 
 
 def counterexample_step(B: Subfamily, tree: PartitionTree,

@@ -89,13 +89,19 @@ def test_from_import_of_a_submodule():
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(omegaramsey.__file__).resolve().parent.parent
 
-#: runs the code in argv[1], then prints the omegaramsey modules it loaded
-PROBE = """
+#: the standard-library modules a CLI process should not pay for: dataclasses
+#: imports inspect, which imports ast, dis and tokenize
+HEAVY = ("dataclasses", "inspect")
+
+#: runs the code in argv[1], then prints the omegaramsey modules it loaded and,
+#: on a second line, the HEAVY modules loaded
+PROBE = f"""
 import io, sys
 from contextlib import redirect_stdout
 with redirect_stdout(io.StringIO()):
     exec(sys.argv[1])
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "omegaramsey")))
+print(" ".join(m for m in {HEAVY!r} if m in sys.modules))
 """
 
 BASE = {"omegaramsey", "omegaramsey.cli", "omegaramsey.ground"}
@@ -103,12 +109,21 @@ ENGINE = {f"omegaramsey.{m}" for m in (
     "ground", "ellentuck", "games", "ramsey", "barriers", "mathias", "oracle")}
 
 
-def loaded_by(code: str) -> set[str]:
+def loaded_by(code: str) -> tuple[set[str], set[str]]:
+    """The omegaramsey modules and the HEAVY modules loaded by running code in
+    a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", PROBE, code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
-    return set(done.stdout.split())
+    ours, heavy = done.stdout.split("\n")[:2]
+    return set(ours.split()), set(heavy.split())
+
+
+@pytest.fixture(scope="module")
+def bare_heavy() -> set[str]:
+    """The HEAVY modules a bare interpreter has loaded already."""
+    return loaded_by("pass")[1]
 
 
 def cli_run(*argv: str) -> str:
@@ -132,5 +147,7 @@ def cli_run(*argv: str) -> str:
     (cli_run("suite", "--seed", "7", "--cases", "2"),
      {"omegaramsey", "omegaramsey.cli"} | ENGINE),
 ], ids=["import", "from-import-submodule", "cover-check", "tree-build", "decide", "suite"])
-def test_fresh_process_loads_only_what_it_uses(code, modules):
-    assert loaded_by(code) == modules
+def test_fresh_process_loads_only_what_it_uses(code, modules, bare_heavy):
+    ours, heavy = loaded_by(code)
+    assert ours == modules
+    assert heavy <= bare_heavy
