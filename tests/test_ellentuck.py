@@ -388,3 +388,66 @@ class TestDecideUnknown:
         starved = LargenessParams(d=1, min_size=3, search_bound=3)
         got = decide(full_grid, (), ALWAYS, starved)
         assert got.kind == "unknown" and got.witness is None
+
+
+class TestLazyPathAgainstOracle:
+    """accepts/rejects on the budgeted (lazy) branch, checked by the oracle.
+
+    The lazy branch runs when 2**len(B) exceeds search_bound.  The bounds
+    here sit between the count of subsets of B at the size gate and
+    2**len(B) - 1, so rejects' scan can finish and definite answers come
+    back; each is compared with the oracle on the first call and again on
+    the repeated call.
+    """
+
+    @staticmethod
+    def regions(family):
+        full = Subfamily.full(family)
+        from omegaramsey.ground import subsets_canonical
+        return [BasicUnionRegion(())] + [
+            BasicUnionRegion((EllentuckBasic(stem, restrict(full, stem)),))
+            for stem in subsets_canonical(range(1, len(family) + 1))]
+
+    @staticmethod
+    def lazy_bounds(n, min_size):
+        gated = sum(1 for k in range(min_size, n + 1)
+                    for _ in itertools.combinations(range(n), k))
+        return sorted({max(gated, 1), (gated + 2 ** n - 1) // 2, 2 ** n - 1})
+
+    def check(self, fn, brute, B, stem, region, p):
+        first = fn(B, stem, region, p)
+        if first is UNKNOWN:
+            return None
+        want = TRUE if brute(B, stem, region, p) else FALSE
+        assert first is want, (fn.__name__, B.indices, stem, region, p)
+        assert fn(B, stem, region, p) is want
+        return want
+
+    def test_definite_lazy_answers_match_the_oracle(self, grid5, full_grid):
+        seen = {}
+        for region in self.regions(grid5):
+            for stem in [(), (1,), (2,), (1, 2), (2, 3)]:
+                B = restrict(full_grid, stem)
+                for bound in self.lazy_bounds(len(B), 3):
+                    assert 2 ** len(B) > bound
+                    p = LargenessParams(d=1, min_size=3, search_bound=bound)
+                    for fn, brute in ((accepts, oracle.brute_accepts),
+                                      (rejects, oracle.brute_rejects)):
+                        got = self.check(fn, brute, B, stem, region, p)
+                        if got is not None:
+                            key = (fn.__name__, got)
+                            seen[key] = seen.get(key, 0) + 1
+        assert seen.get(("accepts", FALSE), 0) >= 100
+        assert seen.get(("rejects", TRUE), 0) >= 100
+        assert seen.get(("rejects", FALSE), 0) >= 10
+
+    @pytest.mark.parametrize("bound", [99, 113, 127])
+    def test_seven_member_rejects(self, grid5, full_grid, bound):
+        p = LargenessParams(d=1, min_size=3, search_bound=bound)
+        verdicts = set()
+        for region in self.regions(grid5):
+            got = self.check(rejects, oracle.brute_rejects, full_grid, (),
+                             region, p)
+            assert got is not None
+            verdicts.add(got)
+        assert verdicts == {TRUE, FALSE}
