@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .ground import (
+    CACHE_SIZE,
     EXHAUSTIVE_CAP,
     FALSE,
     TRUE,
@@ -347,7 +348,7 @@ def _require_precedes(s: Stem, B: Subfamily) -> None:
         raise ContractError(f"stem {s} does not precede reservoir {B.indices}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _basic_content(family: Family, stem: Stem, reservoir: tuple[int, ...],
                    p: LargenessParams) -> tuple[tuple[Subfamily, ...], bool]:
     """The admissible members of [stem, reservoir], ascending canonical order.
@@ -397,29 +398,24 @@ def accepts(B: Subfamily, s: Stem, R: Region, p: LargenessParams) -> ThreeVal:
     return UNKNOWN if saw_unknown else TRUE
 
 
-_REJECTS_CACHE: dict = {}
-
-
 def rejects(B: Subfamily, s: Stem, R: Region, p: LargenessParams) -> ThreeVal:
     """Does no admissible subset of B accept s?"""
     s = as_stem(s)
     _require_precedes(s, B)
-    key = (B.family, B.indices, s, R, p)
-    cached = _REJECTS_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _rejects(B, s, R, p)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _rejects(B: Subfamily, s: Stem, R: Region, p: LargenessParams) -> ThreeVal:
     if 2 ** len(B.indices) <= min(p.search_bound, EXHAUSTIVE_CAP):
         saw_unknown = admissible_subsets_unknown_flag(B, p)
         for c_indices in admissible_subsets(B, p):
             a = accepts(Subfamily(B.family, c_indices), s, R, p)
             if a is TRUE:
-                _REJECTS_CACHE[key] = FALSE
                 return FALSE
             if a is UNKNOWN:
                 saw_unknown = True
-        out = UNKNOWN if saw_unknown else TRUE
-        _REJECTS_CACHE[key] = out
-        return out
+        return UNKNOWN if saw_unknown else TRUE
     budget = p.search_bound
     saw_unknown = False
     for combo in subsets_lazy(B.indices, min_size=p.min_size):
@@ -440,9 +436,6 @@ def rejects(B: Subfamily, s: Stem, R: Region, p: LargenessParams) -> ThreeVal:
     return UNKNOWN if saw_unknown else TRUE
 
 
-_DECIDE_CACHE: dict = {}
-
-
 def decide(B: Subfamily, s: Stem, R: Region, p: LargenessParams) -> DecideOutcome:
     """Find an admissible C <= B accepting s, else report that B rejects s.
 
@@ -452,30 +445,24 @@ def decide(B: Subfamily, s: Stem, R: Region, p: LargenessParams) -> DecideOutcom
     """
     s = as_stem(s)
     _require_precedes(s, B)
-    key = (B.family, B.indices, s, R, p)
-    cached = _DECIDE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _decide(B, s, R, p)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _decide(B: Subfamily, s: Stem, R: Region, p: LargenessParams) -> DecideOutcome:
     candidates = admissible_subsets(B, p, descending=True)
     saw_unknown = admissible_subsets_unknown_flag(B, p)
     if not candidates:
         if saw_unknown:
             return DecideOutcome("unknown", None)
         raise DegenerateError("reservoir has no admissible subset to decide with")
-    out = None
     for c_indices in candidates:
         a = accepts(Subfamily(B.family, c_indices), s, R, p)
         if a is TRUE:
-            out = DecideOutcome("accepts", Subfamily(B.family, c_indices))
-            break
+            return DecideOutcome("accepts", Subfamily(B.family, c_indices))
         if a is UNKNOWN:
             saw_unknown = True
-    if out is None:
-        out = DecideOutcome("unknown", None) if saw_unknown else DecideOutcome("rejects", B)
-    if len(_DECIDE_CACHE) > 400_000:
-        _DECIDE_CACHE.clear()
-    _DECIDE_CACHE[key] = out
-    return out
+    return DecideOutcome("unknown", None) if saw_unknown else DecideOutcome("rejects", B)
 
 
 def strong_reject_set(t: Stem, B: Subfamily, R: Region,
@@ -579,7 +566,7 @@ def _cr_constructive(R: Region, s: Stem, B: Subfamily, p: LargenessParams,
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _all_basics_with_content(family: Family, p: LargenessParams
                              ) -> tuple[tuple[Stem, tuple[int, ...], frozenset], ...]:
     """Every basic with an admissible reservoir and nonempty admissible content.

@@ -69,6 +69,10 @@ UNKNOWN = ThreeVal.UNKNOWN
 #: the budgeted streaming paths are used instead.
 EXHAUSTIVE_CAP = 65536
 
+#: Entry cap of every memo in the engine and the oracle; each is an
+#: `lru_cache`, so memory stays bounded however many families a process sees.
+CACHE_SIZE = 16384
+
 
 def colex_key(t: Sequence[int]) -> tuple[int, ...]:
     """Sort key realizing colexicographic order on sorted index tuples."""
@@ -348,7 +352,7 @@ def check_d_omega_cover(sub: Subfamily, p: LargenessParams) -> CoverVerdict:
     return CoverVerdict(TRUE)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _admissible_cached(family: Family, indices: tuple[int, ...],
                        p: LargenessParams) -> ThreeVal:
     if len(indices) < p.min_size:
@@ -379,7 +383,7 @@ def enumerate_admissible(B: Subfamily, p: LargenessParams,
             emitted += 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _admissible_subsets_asc(family: Family, indices: tuple[int, ...],
                             p: LargenessParams) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """All admissible subsets of an index pool, ascending canonical order.

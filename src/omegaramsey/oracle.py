@@ -11,9 +11,10 @@ favor during triage.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Optional, Sequence
 
-from .ground import EngineError, Family, LargenessParams, Subfamily
+from .ground import CACHE_SIZE, EngineError, Family, LargenessParams, Subfamily
 from .ellentuck import Region, as_stem
 
 SIZE_LIMIT = 12
@@ -29,28 +30,25 @@ def _guard(count: int, what: str) -> None:
                               f"limit of {SIZE_LIMIT}")
 
 
-_ADM_MEMO: dict = {}
-
-
 def _is_admissible(family: Family, indices: tuple[int, ...],
                    p: LargenessParams) -> bool:
+    # memoized on d and min_size alone: the search bound never changes the
+    # answer, and ints hash faster than LargenessParams
+    return _admissible_at(family, indices, p.d, p.min_size)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _admissible_at(family: Family, indices: tuple[int, ...], d: int,
+                   min_size: int) -> bool:
     """Size gate plus cover check, written out point set by point set."""
-    key = (family, indices, p.d, p.min_size)
-    hit = _ADM_MEMO.get(key)
-    if hit is not None:
-        return hit
-    ok = len(indices) >= p.min_size
-    if ok:
-        members = [family.member(i) for i in indices]
-        for size in range(1, p.d + 1):
-            for points in itertools.combinations(family.universe.points(), size):
-                if not any(set(points) <= m for m in members):
-                    ok = False
-                    break
-            if not ok:
-                break
-    _ADM_MEMO[key] = ok
-    return ok
+    if len(indices) < min_size:
+        return False
+    members = [family.member(i) for i in indices]
+    for size in range(1, d + 1):
+        for points in itertools.combinations(family.universe.points(), size):
+            if not any(set(points) <= m for m in members):
+                return False
+    return True
 
 
 def brute_admissible(sub: Subfamily, p: LargenessParams) -> bool:

@@ -32,6 +32,7 @@ from .ground import (
     StructuralError,
     Subfamily,
     ThreeVal,
+    _admissible_cached,
     admissible,
     colex_key,
 )
@@ -337,7 +338,8 @@ def _exhaustive_mono(family: Family, f: Coloring, domain: tuple[int, ...],
     best: Optional[tuple[tuple[int, ...], int]] = None
 
     def is_admissible(indices: tuple[int, ...]) -> bool:
-        return admissible(Subfamily(family, indices), p) is TRUE
+        # every probe meets the size gate, so a miss still checks the depth
+        return _admissible_cached(family, indices, p) is TRUE
 
     def target() -> int:
         """The size a set must reach to be worth growing."""

@@ -252,6 +252,13 @@ class TestExhaustiveGrowth:
                                         require) == \
                     reference(twelve6.indices, require)
 
+    def test_depth_at_universe_size_is_refused(self, twelve6):
+        f = constant_coloring(12, 2, 1, colors=2)
+        p = LargenessParams(d=6, min_size=3)
+        for _ in range(2):
+            with pytest.raises(StructuralError, match="cover depth d=6"):
+                _exhaustive_mono(twelve6, f, twelve6.indices, p, True)
+
 
 class TestRoute:
     @pytest.mark.parametrize("arity, colors, seed", [(3, 2, 0), (2, 3, 5)])
