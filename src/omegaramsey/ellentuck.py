@@ -174,6 +174,7 @@ class BasicUnionRegion(Region, Record):
 class PredicateRegion(Region, Record):
     """A region given by an effect-free, total predicate on subfamilies.
 
+    The engine may test each member once, in any order, and reuse the answer.
     Two predicate regions are equal only when they are the same object.
     """
 
@@ -602,8 +603,11 @@ def is_nowhere_dense(R: Region, family: Family, p: LargenessParams) -> ThreeVal:
     if 3 ** len(family) > p.search_bound or 2 ** len(family) > 4096:
         return UNKNOWN
     basics = _all_basics_with_content(family, p)
-    free = [keys for (_, _, keys) in basics
-            if all(not R.contains(Subfamily(family, d)) for d in keys)]
+    # R is effect-free and total: one test per distinct member settles every
+    # basic holding it
+    members = frozenset().union(*(keys for _, _, keys in basics))
+    inside = {d for d in members if R.contains(Subfamily(family, d))}
+    free = [keys for _, _, keys in basics if keys.isdisjoint(inside)]
     for _, _, keys in basics:
         if not any(v <= keys for v in free):
             return FALSE

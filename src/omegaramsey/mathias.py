@@ -127,7 +127,9 @@ def dense_meet(c: Condition, D: Callable[[Condition], bool],
     """Search below c for a condition satisfying the effect-free predicate D.
 
     Stem additions are tried smallest first in canonical order; for each stem
-    the sides are tried largest first.  None after the budget runs out.
+    the sides are tried largest first.  Every side tried costs one unit of
+    budget, whether or not its candidate extends c; None after the budget
+    runs out.
     """
     budget = p.search_bound
     for extra in subsets_canonical(c.side.indices):
@@ -135,13 +137,19 @@ def dense_meet(c: Condition, D: Callable[[Condition], bool],
         pool = restrict(c.side, stem)
         if 2 ** len(pool.indices) > min(p.search_bound, EXHAUSTIVE_CAP):
             continue
+        # every side lies in c's side, so whether a candidate extends c
+        # depends on its stem alone
+        if not extends(Condition(stem, pool), c):
+            spent = len(admissible_subsets(pool, p))
+            if spent > budget:
+                return None
+            budget -= spent
+            continue
         for side_indices in admissible_subsets(pool, p, descending=True):
             budget -= 1
             if budget < 0:
                 return None
             candidate = Condition(stem, Subfamily(c.family, side_indices))
-            if not extends(candidate, c):
-                continue
             if D(candidate):
                 return candidate
     return None

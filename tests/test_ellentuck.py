@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -266,6 +267,26 @@ class TestNowhereDense:
         free = [keyset(c) for c in basics
                 if all(not region.contains(d) for d in c)]
         return all(any(v <= keyset(c) for v in free) for c in basics)
+
+    @pytest.mark.parametrize("inside, want", [
+        (lambda D: False, TRUE),
+        (lambda D: D.indices in {(1, 2, 3, 5), (1, 2, 4, 5)}, TRUE),
+        (lambda D: len(D.indices) <= 4, FALSE),
+    ])
+    def test_predicate_sees_each_member_once(self, grid5, p_grid, inside, want):
+        """A predicate region is effect-free and total, so the engine may test
+        each member once, in any order, and reuse the answer."""
+        seen = collections.Counter()
+
+        def counting(D):
+            seen[D.indices] += 1
+            return inside(D)
+
+        region = PredicateRegion(counting, "counting")
+        for _ in range(2):
+            seen.clear()
+            assert is_nowhere_dense(region, grid5, p_grid) is want
+            assert seen and max(seen.values()) == 1
 
     def test_singleton_matches_brute(self, grid5, p_grid):
         adm = list(enumerate_admissible(Subfamily.full(grid5), p_grid))
