@@ -608,8 +608,9 @@ def is_nowhere_dense(R: Region, family: Family, p: LargenessParams) -> ThreeVal:
     members = frozenset().union(*(keys for _, _, keys in basics))
     inside = {d for d in members if R.contains(Subfamily(family, d))}
     free = [keys for _, _, keys in basics if keys.isdisjoint(inside)]
+    # a free basic is its own sub-basic missing R; only the others need one
     for _, _, keys in basics:
-        if not any(v <= keys for v in free):
+        if not keys.isdisjoint(inside) and not any(v <= keys for v in free):
             return FALSE
     return TRUE
 
