@@ -1,16 +1,22 @@
-"""`is_nowhere_dense` and `dense_meet` against frozen copies of their first scans.
+"""Engine scans against frozen copies of the plain scans they started from.
 
-The copies below are the plain scans the engine started from: one membership
-test per member of every basic's content, and one extension check per
-candidate.  The engine may find the same answers with less work, so every
-answer is compared with the copy's on random small families: the verdict of
-`is_nowhere_dense` for every region kind, and for `dense_meet` the returned
-condition together with the candidates handed to the predicate, in order.
+The copies below are kept as the reference: `is_nowhere_dense`'s membership
+test per member of every basic's content and `dense_meet`'s extension check
+per candidate; `barriers`' density, fg and homogenization scans, which build
+every mask they test; and the pivot tree's `_split` and the exhaustive net,
+which read each color through `Coloring.of`.  The engine may find the same
+answers with less work, so every answer is compared with the copy's on random
+small families: verdicts, witnesses and the candidates handed to a
+predicate in order, and for colorings that miss an entry, the error's type
+and message.
 """
 
 import itertools
 import random
+from typing import Optional
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegaramsey import (
@@ -18,24 +24,45 @@ from omegaramsey import (
     TRUE,
     UNKNOWN,
     BasicUnionRegion,
+    Coloring,
     ComplementRegion,
     Condition,
+    ContractError,
     EllentuckBasic,
     ExplicitRegion,
     Family,
+    FiniteSetFamily,
     IntersectionRegion,
     LargenessParams,
     PredicateRegion,
+    StructuralError,
     Subfamily,
+    ThreeVal,
     UnionRegion,
     as_stem,
+    build_partition_tree,
+    branch_walk,
     dense_meet,
     extends,
+    fg_witness,
+    is_dense,
     is_nowhere_dense,
+    is_thin,
+    nw_homogenize,
+    ramsey_via_nw,
     restrict,
 )
+from omegaramsey import ramsey
+from omegaramsey.barriers import FgOutcome, NwOutcome, partition_of
 from omegaramsey.ellentuck import _all_basics_with_content
-from omegaramsey.ground import EXHAUSTIVE_CAP, admissible_subsets, subsets_canonical
+from omegaramsey.ground import (
+    EXHAUSTIVE_CAP,
+    EngineError,
+    _admissible_cached,
+    admissible_subsets,
+    colex_key,
+    subsets_canonical,
+)
 
 
 def reference_is_nowhere_dense(R, family, p):
@@ -69,6 +96,179 @@ def reference_dense_meet(c, D, p):
             if D(candidate):
                 return candidate
     return None
+
+
+def reference_mask(indices):
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def reference_admissible_in(family, p, domain):
+    """The admissible sets within the domain mask, each with a mask built anew."""
+    masked = ((b, reference_mask(b))
+              for b in admissible_subsets(Subfamily.full(family), p))
+    return masked if domain is None else \
+        (bm for bm in masked if bm[1] & domain == bm[1])
+
+
+def reference_density_counterexample(stems, family, p, domain):
+    """The per-set density scan, kept as the reference."""
+    for _, m in reference_admissible_in(family, p, domain):
+        if not any(s & m == s for s in stems):
+            return m
+    return None
+
+
+def reference_fg_search(stems, family, p, domain):
+    """The stemless-set scan, kept as the reference."""
+    lengths = {len(s) for s in stems}
+    minimal = []
+    for c in admissible_subsets(Subfamily.full(family), p):
+        if not any(c[:j] in stems for j in lengths):
+            m = reference_mask(c)
+            if not any(k & m == k for k in minimal):
+                minimal.append(m)
+    for b, m in reference_admissible_in(family, p, domain):
+        if not any(k & m == k for k in minimal):
+            return b
+    return None
+
+
+def reference_is_dense(S, p):
+    if 2 ** len(S.family) > min(p.search_bound, EXHAUSTIVE_CAP):
+        return UNKNOWN
+    stems = [reference_mask(s) for s in S.stems]
+    return ThreeVal.of(
+        reference_density_counterexample(stems, S.family, p, None) is None)
+
+
+def reference_fg_witness(S, p):
+    if reference_is_dense(S, p) is not TRUE:
+        raise ContractError("fg_witness needs a dense stem family")
+    got = reference_fg_search(S.stems, S.family, p, None)
+    if got is None:
+        return FgOutcome("not_found", None)
+    return FgOutcome("witness", Subfamily(S.family, got))
+
+
+def reference_nw_homogenize(T, parts, p):
+    """The part-peeling homogenization, kept as the reference."""
+    if not is_thin(T):
+        raise ContractError("nw_homogenize needs a thin family")
+    normalized = partition_of(T, parts)
+    fam = T.family
+    part_masks = [[reference_mask(s) for s in part] for part in normalized]
+
+    def parts_met(m):
+        return {i for i, stems in enumerate(part_masks)
+                if any(s & m == s for s in stems)}
+
+    domain = None
+    for part_index, part in enumerate(normalized):
+        if part_index == len(normalized) - 1:
+            got = next(reference_admissible_in(fam, p, domain), (None,))[0]
+        elif not part:
+            continue
+        else:
+            counter = reference_density_counterexample(part_masks[part_index],
+                                                       fam, p, domain)
+            if counter is not None:
+                domain = counter
+                continue
+            got = reference_fg_search(part, fam, p, domain)
+        if got is not None and parts_met(reference_mask(got)) <= {part_index}:
+            return NwOutcome("homogeneous", Subfamily(fam, got), part_index)
+        break
+
+    for b, m in reference_admissible_in(fam, p, None):
+        if not normalized:
+            break
+        met = parts_met(m)
+        if len(met) <= 1:
+            return NwOutcome("homogeneous", Subfamily(fam, b), min(met, default=0))
+    return NwOutcome("not_found", None, None)
+
+
+def reference_ramsey_via_nw(family, f, p):
+    n, k = f.arity, f.colors
+    stems = [tuple(c) for c in itertools.combinations(family.indices, n)]
+    T = FiniteSetFamily.of(family, stems)
+    parts = [[s for s in stems if f.of(s) == color] for color in range(k)]
+    got = reference_nw_homogenize(T, parts, p)
+    if got.kind != "homogeneous":
+        return None
+    for combo in itertools.combinations(got.witness.indices, n):
+        if f.of(combo) != got.part:
+            raise ContractError("homogenization returned a miscolored set")
+    return got.witness, got.part
+
+
+def reference_split(content, pivot, f):
+    """The pivot split reading each color through `Coloring.of`."""
+    zero, one = [], []
+    for n in content:
+        if n <= pivot:
+            continue
+        (zero if f.of((pivot, n)) == 0 else one).append(n)
+    return tuple(zero), tuple(one)
+
+
+def reference_exhaustive_mono(family, f, domain, p, require_admissible):
+    """The exhaustive net reading each face color through `Coloring.of`."""
+    if 2 ** len(domain) > EXHAUSTIVE_CAP:
+        return None
+    r = f.arity
+    floor = max(r, p.min_size) if require_admissible else r
+    best: Optional[tuple] = None
+
+    def is_admissible(indices):
+        return _admissible_cached(family, indices, p) is TRUE
+
+    def target():
+        return len(best[0]) if best else floor
+
+    def grow(chosen, color, joinable):
+        nonlocal best
+        size = len(chosen)
+        if size >= floor and (best is None or (-size, colex_key(chosen)) <
+                              (-len(best[0]), colex_key(best[0]))) and \
+                (not require_admissible or is_admissible(chosen)):
+            best = (chosen, color)
+        if size + len(joinable) < target() or (
+                require_admissible and joinable and
+                not is_admissible(chosen + tuple(joinable))):
+            return
+        for pos, j in enumerate(joinable):
+            rest = joinable[pos + 1:]
+            if size + 1 + len(rest) < target():
+                break
+            grown = chosen + (j,)
+            if len(grown) < r:
+                grow(grown, None, rest)
+                continue
+            if len(grown) == r:
+                c = f.of(grown)
+                faces = list(itertools.combinations(grown, r - 1))
+            else:
+                c = color
+                faces = [t + (j,) for t in itertools.combinations(chosen, r - 2)] \
+                    if r > 1 else []
+            for t in faces:
+                rest = [k for k in rest if f.of(t + (k,)) == c]
+            grow(grown, c, rest)
+
+    grow((), None, sorted(domain))
+    return best
+
+
+def outcome(fn, *args):
+    """What a call gives: its value, or its error's type and message."""
+    try:
+        return fn(*args)
+    except EngineError as err:
+        return type(err), str(err)
 
 
 def index_sets(n, draw):
@@ -221,3 +421,167 @@ class TestDenseMeetReference:
                     seen_kinds.add((got[0] is None, bool(got[1])))
         # answers, budget spent before any candidate, and budget spent after some
         assert seen_kinds == {(False, True), (True, False), (True, True)}
+
+
+@st.composite
+def stem_cases(draw):
+    """A stem family and params: every k-set but a few, or stems of mixed sizes.
+
+    The first kind is often dense and feeds fg_witness a witness search; the
+    second is seldom dense and mostly exercises the density scan.
+    """
+    family = draw(families(max_members=9))
+    n = len(family)
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 2))
+        every = list(itertools.combinations(range(1, n + 1), k))
+        dropped = draw(st.sets(st.sampled_from(every), max_size=3))
+        stems = [s for s in every if s not in dropped]
+    else:
+        stems = [index_sets(n, draw)[:draw(st.integers(0, 3))]
+                 for _ in range(draw(st.integers(0, 8)))]
+    p = LargenessParams(d=draw(st.integers(1, 2)), min_size=draw(st.integers(1, 4)))
+    return FiniteSetFamily.of(family, stems), p
+
+
+@st.composite
+def partition_cases(draw):
+    """A stem family of equal-length stems, mostly thin, cut into 1 to 3 parts.
+
+    Some stems are cut short so that the family is not thin, and some parts
+    drop a stem so that they no longer cover it.
+    """
+    family = draw(families(max_members=9))
+    n = len(family)
+    k = draw(st.integers(1, 3))
+    stems = [s for s in itertools.combinations(range(1, n + 1), k)
+             if draw(st.integers(0, 3))]
+    if stems and draw(st.integers(0, 9)) == 0:
+        stems.append(draw(st.sampled_from(stems))[:-1])
+    count = draw(st.integers(1, 3))
+    parts = [[] for _ in range(count)]
+    for s in stems:
+        parts[draw(st.integers(0, count - 1))].append(s)
+    if stems and draw(st.integers(0, 9)) == 0:
+        parts[0] = parts[0][1:]
+    p = LargenessParams(d=draw(st.integers(1, 2)), min_size=draw(st.integers(1, 4)))
+    return FiniteSetFamily.of(family, stems), parts, p
+
+
+@st.composite
+def colored_families(draw, arities=(2,), max_colors=2):
+    """A family, a coloring of its index r-sets that may miss one entry, and params."""
+    family = draw(families(max_members=9))
+    n = len(family)
+    arity = draw(st.sampled_from(arities))
+    colors = draw(st.integers(2, max_colors))
+    keys = list(itertools.combinations(range(1, n + 1), arity))
+    values = draw(st.lists(st.integers(0, colors - 1), min_size=len(keys),
+                           max_size=len(keys)))
+    table = dict(zip(keys, values))
+    if draw(st.integers(0, 3)) == 0:
+        del table[draw(st.sampled_from(keys))]
+    p = LargenessParams(d=draw(st.integers(1, 2)), min_size=draw(st.integers(1, 4)))
+    return family, Coloring(arity, colors, table), p
+
+
+def with_reference_split(fn, *args):
+    """What fn gives when the pivot tree splits through `reference_split`."""
+    with mock.patch.object(ramsey, "_split", reference_split):
+        return outcome(fn, *args)
+
+
+class TestBarrierScansReference:
+    @settings(max_examples=200, deadline=None)
+    @given(stem_cases())
+    def test_density_and_fg_match_the_mask_building_scans(self, case):
+        S, p = case
+        assert outcome(is_dense, S, p) is reference_is_dense(S, p)
+        assert outcome(fg_witness, S, p) == outcome(reference_fg_witness, S, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(partition_cases())
+    def test_homogenization_matches_the_mask_building_scan(self, case):
+        T, parts, p = case
+        assert outcome(nw_homogenize, T, parts, p) == \
+            outcome(reference_nw_homogenize, T, parts, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(colored_families(max_colors=3))
+    def test_ramsey_via_nw_matches_on_pair_colorings(self, case):
+        family, f, p = case
+        assert outcome(ramsey_via_nw, family, f, p) == \
+            outcome(reference_ramsey_via_nw, family, f, p)
+
+    def test_seen_outcomes(self, eight5, twelve6):
+        # the scans above reach each kind of answer on these fixed cases
+        p = LargenessParams(d=2, min_size=3)
+        pairs = list(itertools.combinations(eight5.indices, 2))
+        dense = FiniteSetFamily.of(eight5, pairs)
+        sparse = FiniteSetFamily.of(eight5, pairs[:3])
+        assert (is_dense(dense, p), is_dense(sparse, p)) == (TRUE, FALSE)
+        assert fg_witness(dense, p) == reference_fg_witness(dense, p)
+        assert fg_witness(dense, p).kind == "witness"
+        kinds = set()
+        for parts in ([[q for q in pairs if 1 in q], [q for q in pairs if 1 not in q]],
+                      [pairs[::2], pairs[1::2]]):
+            got = nw_homogenize(dense, parts, p)
+            assert got == reference_nw_homogenize(dense, parts, p)
+            kinds.add(got.kind)
+        assert kinds == {"homogeneous", "not_found"}
+        rng = random.Random(16)
+        f = Coloring(2, 2, {c: rng.randrange(2)
+                            for c in itertools.combinations(twelve6.indices, 2)})
+        assert ramsey_via_nw(twelve6, f, p) == reference_ramsey_via_nw(twelve6, f, p)
+
+
+class TestPairWalksReference:
+    @settings(max_examples=200, deadline=None)
+    @given(colored_families(), st.data())
+    def test_walks_match_the_split_through_of(self, case, data):
+        family, f, _ = case
+        n = len(family)
+        domain = index_sets(n, data.draw)
+        for pivot in domain:
+            assert outcome(ramsey._split, domain, pivot, f) == \
+                outcome(reference_split, domain, pivot, f)
+        for args in ((family, f), (family, f, domain)):
+            assert outcome(branch_walk, *args) == \
+                with_reference_split(branch_walk, *args)
+        if domain:  # its one caller passes two indices or more
+            assert outcome(ramsey._classical_pivot_walk, family, f, domain) == \
+                with_reference_split(ramsey._classical_pivot_walk, family, f, domain)
+        for depth in range(min(n, 5) + 1):
+            assert outcome(build_partition_tree, family, f, depth) == \
+                with_reference_split(build_partition_tree, family, f, depth)
+
+    @settings(max_examples=200, deadline=None)
+    @given(colored_families(arities=(2, 3), max_colors=3), st.data())
+    def test_exhaustive_net_matches_the_faces_through_of(self, case, data):
+        family, f, p = case
+        domain = index_sets(len(family), data.draw)
+        for require_admissible in (True, False):
+            assert outcome(ramsey._exhaustive_mono, family, f, domain, p,
+                           require_admissible) == \
+                outcome(reference_exhaustive_mono, family, f, domain, p,
+                        require_admissible)
+
+    @pytest.mark.parametrize("missing", [(1, 2), (3, 7), (8, 9)])
+    def test_a_missing_pair_names_the_same_key(self, twelve6, p_pairs, missing):
+        rng = random.Random(16)
+        table = {c: rng.randrange(2)
+                 for c in itertools.combinations(twelve6.indices, 2)}
+        del table[missing]
+        f = Coloring(2, 2, table)
+        calls = [(branch_walk, twelve6, f),
+                 (ramsey._classical_pivot_walk, twelve6, f, twelve6.indices),
+                 (build_partition_tree, twelve6, f, 8)]
+        for fn, *args in calls:
+            got = outcome(fn, *args)
+            assert got == with_reference_split(fn, *args)
+        assert outcome(ramsey._exhaustive_mono, twelve6, f, twelve6.indices,
+                       p_pairs, False) == \
+            outcome(reference_exhaustive_mono, twelve6, f, twelve6.indices,
+                    p_pairs, False)
+        assert outcome(reference_split, twelve6.indices, missing[0], f) == \
+            (StructuralError, f"coloring is not defined on {missing}")
