@@ -12,9 +12,11 @@ exhaustive scan as the safety net.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .ground import (
+    CACHE_SIZE,
     EXHAUSTIVE_CAP,
     TRUE,
     UNKNOWN,
@@ -88,22 +90,31 @@ def partition_of(T: FiniteSetFamily, parts: Sequence) -> tuple[frozenset[Stem], 
 
 
 def _mask(indices) -> int:
-    """The int with bit i set for each index i, so that containment of index
-    sets is `s & m == s`."""
+    """The int with bit i set for each index i, so that s is contained in m
+    when `s & ~m` is 0."""
     m = 0
     for i in indices:
         m |= 1 << i
     return m
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _admissible_masked(family: Family, p: LargenessParams
+                       ) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The family's admissible sets in canonical order, each with its mask.
+    Raises EngineError on families over 16 members."""
+    return tuple((b, _mask(b)) for b in admissible_subsets(Subfamily.full(family), p))
+
+
 def _admissible_in(family: Family, p: LargenessParams, domain: Optional[int]
                    ) -> Iterator[tuple[tuple[int, ...], int]]:
     """The family's admissible sets within the domain mask (all when None), in
-    canonical order, each with its mask.  Raises EngineError on families over
-    16 members."""
-    masked = ((b, _mask(b)) for b in admissible_subsets(Subfamily.full(family), p))
-    return masked if domain is None else \
-        (bm for bm in masked if bm[1] & domain == bm[1])
+    canonical order, each with its mask."""
+    masked = _admissible_masked(family, p)
+    if domain is None:
+        return iter(masked)
+    outside = ~domain
+    return (bm for bm in masked if not bm[1] & outside)
 
 
 def _density_counterexample(stems: list[int], family: Family, p: LargenessParams,
@@ -111,7 +122,7 @@ def _density_counterexample(stems: list[int], family: Family, p: LargenessParams
     """Mask of the first admissible set (within domain) containing none of
     the stem masks."""
     for _, m in _admissible_in(family, p, domain):
-        if not any(s & m == s for s in stems):
+        if all(map((~m).__and__, stems)):
             return m
     return None
 
@@ -144,13 +155,12 @@ def _fg_search(stems: frozenset[Stem], family: Family, p: LargenessParams,
     """
     lengths = {len(s) for s in stems}
     minimal: list[int] = []
-    for c in admissible_subsets(Subfamily.full(family), p):
-        if not any(c[:j] in stems for j in lengths):
-            m = _mask(c)
-            if not any(k & m == k for k in minimal):
-                minimal.append(m)
+    for c, m in _admissible_masked(family, p):
+        if not any(c[:j] in stems for j in lengths) and \
+                all(map((~m).__and__, minimal)):
+            minimal.append(m)
     for b, m in _admissible_in(family, p, domain):
-        if not any(k & m == k for k in minimal):
+        if all(map((~m).__and__, minimal)):
             return b
     return None
 
@@ -198,8 +208,9 @@ def nw_homogenize(T: FiniteSetFamily, parts: Sequence,
     part_masks = [[_mask(s) for s in part] for part in normalized]
 
     def parts_met(m: int) -> set[int]:
+        outside = ~m
         return {i for i, stems in enumerate(part_masks)
-                if any(s & m == s for s in stems)}
+                if not all(map(outside.__and__, stems))}
 
     domain: Optional[int] = None
     for part_index, part in enumerate(normalized):

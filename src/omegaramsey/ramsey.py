@@ -177,11 +177,16 @@ class BranchResult(Record):
 
 def _split(content: tuple[int, ...], pivot: int,
            f: Coloring) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    table = f._table
     zero, one = [], []
     for n in content:
         if n <= pivot:
             continue
-        (zero if f.of((pivot, n)) == 0 else one).append(n)
+        try:
+            color = table[pivot, n]     # pivot < n, so the key is sorted
+        except KeyError:
+            color = f.of((pivot, n))    # raises the missing-entry error
+        (zero if color == 0 else one).append(n)
     return tuple(zero), tuple(one)
 
 
@@ -334,6 +339,7 @@ def _exhaustive_mono(family: Family, f: Coloring, domain: tuple[int, ...],
     if 2 ** len(domain) > EXHAUSTIVE_CAP:
         return None
     r = f.arity
+    table = f._table
     floor = max(r, p.min_size) if require_admissible else r
     best: Optional[tuple[tuple[int, ...], int]] = None
 
@@ -374,7 +380,11 @@ def _exhaustive_mono(family: Family, f: Coloring, domain: tuple[int, ...],
                 faces = [t + (j,) for t in itertools.combinations(chosen, r - 2)] \
                     if r > 1 else []
             for t in faces:
-                rest = [k for k in rest if f.of(t + (k,)) == c]
+                # every k in rest is above t, so t + (k,) is a sorted key
+                try:
+                    rest = [k for k in rest if table[t + (k,)] == c]
+                except KeyError:    # f.of raises the missing-entry error
+                    rest = [k for k in rest if f.of(t + (k,)) == c]
             grow(grown, c, rest)
 
     grow((), None, sorted(domain))

@@ -25,8 +25,8 @@ from omegaramsey import (
     rejects,
     restrict,
 )
-from omegaramsey import ground
-from omegaramsey.ground import subsets_canonical
+from omegaramsey import barriers, ground
+from omegaramsey.ground import admissible_subsets, subsets_canonical
 
 ENGINE_MODULES = ("ground", "ellentuck", "games", "ramsey", "barriers",
                   "mathias", "oracle", "cli")
@@ -59,6 +59,7 @@ class TestPolicy:
             "omegaramsey.ellentuck._rejects",
             "omegaramsey.ellentuck._decide",
             "omegaramsey.oracle._admissible_at",
+            "omegaramsey.barriers._admissible_masked",
         }
         for name, cache in caches.items():
             assert cache.cache_info().maxsize == ground.CACHE_SIZE, name
@@ -75,6 +76,26 @@ class TestPolicy:
     def test_cache_size_is_not_exported(self):
         import omegaramsey
         assert "CACHE_SIZE" not in omegaramsey.__all__
+
+
+class TestMaskMemo:
+    def test_entries_pair_each_admissible_set_with_its_mask(self, grid5, p_grid):
+        expected = tuple((b, barriers._mask(b))
+                         for b in admissible_subsets(Subfamily.full(grid5), p_grid))
+        assert expected
+        assert barriers._admissible_masked(grid5, p_grid) == expected
+        assert all(m == sum(1 << i for i in b) for b, m in expected)
+
+    def test_large_family_raises_and_is_not_stored(self, p_pairs):
+        members = [c for r in (2, 3) for c in itertools.combinations(range(1, 7), r)]
+        family = ground.Family.of(6, members[:17])
+        assert len(family) == 17
+        memo = barriers._admissible_masked
+        before = memo.cache_info()
+        with pytest.raises(EngineError):
+            memo(family, p_pairs)
+        after = memo.cache_info()
+        assert (after.currsize, after.hits) == (before.currsize, before.hits)
 
 
 class TestEviction:
