@@ -583,5 +583,6 @@ class TestPairWalksReference:
                        p_pairs, False) == \
             outcome(reference_exhaustive_mono, twelve6, f, twelve6.indices,
                     p_pairs, False)
-        assert outcome(reference_split, twelve6.indices, missing[0], f) == \
-            (StructuralError, f"coloring is not defined on {missing}")
+        for split in (ramsey._split, reference_split):
+            assert outcome(split, twelve6.indices, missing[0], f) == \
+                (StructuralError, f"coloring is not defined on {missing}")
