@@ -150,18 +150,22 @@ def _fg_search(stems: frozenset[Stem], family: Family, p: LargenessParams,
     """First admissible set (within domain) whose admissible subsets all start
     with a stem: one that holds none of the admissible sets that don't.
 
-    Only the minimal such stemless sets are kept; in canonical order every
-    proper subset of a set comes before it.
+    One pass in canonical order, where every proper subset of a set comes
+    before it: a set holding one of the minimal stemless sets seen so far is
+    skipped, a stemless set is kept as minimal, and the first set left that
+    starts with a stem and lies within domain is the answer, since every
+    stemless set it could hold has been seen.
     """
     lengths = {len(s) for s in stems}
+    outside = 0 if domain is None else ~domain
     minimal: list[int] = []
     for c, m in _admissible_masked(family, p):
-        if not any(c[:j] in stems for j in lengths) and \
-                all(map((~m).__and__, minimal)):
+        if not all(map((~m).__and__, minimal)):
+            continue
+        if not any(c[:j] in stems for j in lengths):
             minimal.append(m)
-    for b, m in _admissible_in(family, p, domain):
-        if all(map((~m).__and__, minimal)):
-            return b
+        elif not m & outside:
+            return c
     return None
 
 
@@ -190,28 +194,17 @@ class NwOutcome(Record):
         object.__setattr__(self, "part", part)
 
 
-def nw_homogenize(T: FiniteSetFamily, parts: Sequence,
-                  p: LargenessParams) -> NwOutcome:
-    """Drive a partition of a thin family into one part on an admissible set.
+def _parts_met(part_masks: list[list[int]], m: int) -> set[int]:
+    """The parts with a stem inside the mask m."""
+    outside = ~m
+    return {i for i, stems in enumerate(part_masks)
+            if not all(map(outside.__and__, stems))}
 
-    Follows the two-part argument, peeling one part at a time: a part that is
-    not dense inside the current domain is avoided outright via the density
-    counterexample; a dense part is pinned down through fg_witness and the
-    thinness of T.  The output is re-verified, with an exhaustive scan as
-    fallback.  A set is homogeneous for part i when the stems inside it meet
-    no part but i.
-    """
-    if not is_thin(T):
-        raise ContractError("nw_homogenize needs a thin family")
-    normalized = partition_of(T, parts)
-    fam = T.family
-    part_masks = [[_mask(s) for s in part] for part in normalized]
 
-    def parts_met(m: int) -> set[int]:
-        outside = ~m
-        return {i for i, stems in enumerate(part_masks)
-                if not all(map(outside.__and__, stems))}
-
+def _peel_parts(fam: Family, normalized: tuple[frozenset[Stem], ...],
+                part_masks: list[list[int]], p: LargenessParams
+                ) -> Optional[NwOutcome]:
+    """The constructive route of nw_homogenize, or None where it gives out."""
     domain: Optional[int] = None
     for part_index, part in enumerate(normalized):
         if part_index == len(normalized) - 1:
@@ -225,17 +218,51 @@ def nw_homogenize(T: FiniteSetFamily, parts: Sequence,
                 domain = counter
                 continue
             got = _fg_search(part, fam, p, domain)
-        if got is not None and parts_met(_mask(got)) <= {part_index}:
+        if got is not None and _parts_met(part_masks, _mask(got)) <= {part_index}:
             return NwOutcome("homogeneous", Subfamily(fam, got), part_index)
-        break
+        return None
+    return None
 
-    for b, m in _admissible_in(fam, p, None):
-        if not normalized:  # nothing to answer, but large families still raise
+
+def _homogeneous_scan(fam: Family, part_masks: list[list[int]],
+                      p: LargenessParams) -> NwOutcome:
+    """The exhaustive fallback: the first admissible set whose stems meet at
+    most one part.
+
+    A set whose stems meet two parts passes that on to every superset, so
+    the scan keeps the minimal such mixed sets and skips every set that
+    holds one of them.
+    """
+    mixed: list[int] = []
+    for b, m in _admissible_masked(fam, p):
+        if not part_masks:  # nothing to answer, but large families still raise
             break
-        met = parts_met(m)
+        if not all(map((~m).__and__, mixed)):
+            continue
+        met = _parts_met(part_masks, m)
         if len(met) <= 1:
             return NwOutcome("homogeneous", Subfamily(fam, b), min(met, default=0))
+        mixed.append(m)
     return NwOutcome("not_found", None, None)
+
+
+def nw_homogenize(T: FiniteSetFamily, parts: Sequence,
+                  p: LargenessParams) -> NwOutcome:
+    """Drive a partition of a thin family into one part on an admissible set.
+
+    Follows the two-part argument, peeling one part at a time: a part that is
+    not dense inside the current domain is avoided outright via the density
+    counterexample; a dense part is pinned down through fg_witness and the
+    thinness of T.  The output is re-verified, with an exhaustive scan that
+    skips the supersets of mixed sets as fallback.  A set is homogeneous for
+    part i when the stems inside it meet no part but i.
+    """
+    if not is_thin(T):
+        raise ContractError("nw_homogenize needs a thin family")
+    normalized = partition_of(T, parts)
+    part_masks = [[_mask(s) for s in part] for part in normalized]
+    return _peel_parts(T.family, normalized, part_masks, p) or \
+        _homogeneous_scan(T.family, part_masks, p)
 
 
 def ramsey_via_nw(family: Family, f, p: LargenessParams

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import itemgetter, lt
+from operator import countOf, itemgetter, lt
 from typing import Callable, Optional
 
 from .ground import (
@@ -47,15 +47,17 @@ def _stored_as_given(arity: int, colors: int,
     """Whether the key-by-key pass would store `table` unchanged.
 
     True when every key is a strictly increasing `arity`-tuple and every
-    color is an int in range(colors).  Pairs are checked in one pass of `lt`
-    over the keys, where a key of any other length raises TypeError; other
+    color is an int in range(colors).  Key and color types are counted, not
+    collected: the count of exact `tuple` keys and of exact `int` colors must
+    each be the table's size.  Pairs are checked in one pass of `lt` over
+    the keys, where a key of any other length raises TypeError; other
     arities check key lengths, then order a whole column at a time.  Colors
     are typed one by one, since a set of them would keep 0 and drop an equal
     0.0; any other type (bool, float, NaN) is left to that pass, and
     `range.__contains__` answers for ints without building the range.
     """
     try:
-        if set(map(type, table)) != {tuple}:
+        if countOf(map(type, table), tuple) != len(table):
             return False
         if arity == 2:
             if not all(itertools.starmap(lt, table)):
@@ -67,7 +69,7 @@ def _stored_as_given(arity: int, colors: int,
                 if not all(map(lt, map(itemgetter(i), table),
                                map(itemgetter(i + 1), table))):
                     return False
-        return set(map(type, table.values())) <= {int} and \
+        return countOf(map(type, table.values()), int) == len(table) and \
             all(map(range(colors).__contains__, set(table.values())))
     except TypeError:
         return False
@@ -399,32 +401,51 @@ def _scan(family: Family, f: Coloring, domain: tuple[int, ...],
     return None if got is None else (Subfamily(family, got[0]), got[1])
 
 
-def _solve_pairs_2(family: Family, f: Coloring, p: LargenessParams,
-                   domain: Optional[tuple[int, ...]] = None
-                   ) -> Optional[PartitionResult]:
-    """The 2-color pair solver: branch walk, exhaustive upgrade, classical net.
+#: the pair solver runs the exhaustive upgrade on domains of at most 12 indices
+_PAIR_SCAN_CAP = 4096
 
-    Candidates are ranked by: meets the size guarantee, then admissible, then
-    route order (branch walk, exhaustive, classical).
-    """
-    domain = family.indices if domain is None else tuple(sorted(domain))
-    if len(domain) < 2:
-        return None
-    bound = pair_size_guarantee(len(domain))
 
+def _pair_candidates(family: Family, f: Coloring, p: LargenessParams,
+                     domain: tuple[int, ...]
+                     ) -> list[tuple[tuple[int, ...], int, str]]:
+    """The pair solver's candidates on a sorted domain of two indices or
+    more, in route order: branch walk, exhaustive upgrade (when it found an
+    admissible set), classical net."""
     candidates: list[tuple[tuple[int, ...], int, str]] = []
     try:
         chosen, color = extract_homogeneous(branch_walk(family, f, domain), f)
         candidates.append((chosen.indices, color, "branch"))
     except DegenerateError:
         pass
-    if 2 ** len(domain) <= 4096:
+    if 2 ** len(domain) <= _PAIR_SCAN_CAP:
         got = _exhaustive_mono(family, f, domain, p, require_admissible=True)
         if got is not None:
             candidates.append((got[0], got[1], "exhaustive"))
     chosen, color = _classical_pivot_walk(family, f, domain)
     candidates.append((chosen, color, "classical"))
+    return candidates
 
+
+def _solve_pairs_2(family: Family, f: Coloring, p: LargenessParams,
+                   domain: Optional[tuple[int, ...]] = None
+                   ) -> Optional[PartitionResult]:
+    """The 2-color pair solver: branch walk, exhaustive upgrade, classical net."""
+    domain = family.indices if domain is None else tuple(sorted(domain))
+    if len(domain) < 2:
+        return None
+    return _best_pair(family, f, p, domain, _pair_candidates(family, f, p, domain))
+
+
+def _best_pair(family: Family, f: Coloring, p: LargenessParams,
+               domain: tuple[int, ...],
+               candidates: list[tuple[tuple[int, ...], int, str]]
+               ) -> PartitionResult:
+    """The verified best candidate.
+
+    Candidates are ranked by: meets the size guarantee, then admissible, then
+    route order (branch walk, exhaustive, classical).
+    """
+    bound = pair_size_guarantee(len(domain))
     route_rank = {"branch": 0, "exhaustive": 1, "classical": 2}
 
     def rank(cand: tuple[tuple[int, ...], int, str]):
@@ -661,16 +682,28 @@ def solve_partition(family: Family, f: Coloring,
 
     def base2(domain: tuple[int, ...], g: Coloring
               ) -> Optional[tuple[tuple[int, ...], int]]:
-        got = _solve_pairs_2(family, g, p, domain)
-        if got is not None and got.admissible is TRUE:
+        """The pair solver's answer when admissible, else the admissible
+        exhaustive scan's, which small domains have among the candidates."""
+        domain = tuple(sorted(domain))
+        if len(domain) < 2:
+            return None     # below the scan's floor of two indices
+        candidates = _pair_candidates(family, g, p, domain)
+        got = _best_pair(family, g, p, domain, candidates)
+        if got.admissible is TRUE:
             return got.subfamily.indices, got.color
-        return _exhaustive_mono(family, g, domain, p, require_admissible=True)
+        if 2 ** len(domain) > _PAIR_SCAN_CAP:
+            return _exhaustive_mono(family, g, domain, p, require_admissible=True)
+        return next(((indices, color) for indices, color, route in candidates
+                     if route == "exhaustive"), None)
 
     def solve(domain: tuple[int, ...], g: Coloring
               ) -> Optional[tuple[tuple[int, ...], int]]:
         """The nested solver: merge pairs down, step higher arities up."""
         if g.arity == 2:
-            got = merge_colors_solve(family, g, base2, p, domain)
+            # on two colors merging is base2 alone, which answers None only
+            # when the admissible exhaustive scan found nothing
+            got = merge_colors_solve(family, g, base2, p, domain,
+                                     fallback=g.colors > 2)
         else:
             got = stepup_solve(family, g, solve, two, innings, p, domain)
         return None if got is None else (got[0].indices, got[1])

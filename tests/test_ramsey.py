@@ -2,6 +2,8 @@ import itertools
 import math
 import random
 from collections import namedtuple
+from enum import IntEnum
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,9 +34,10 @@ from omegaramsey.ramsey import (
     Step,
     _exhaustive_mono,
     _solve_pairs_2,
+    _stored_as_given,
     pair_size_guarantee,
 )
-from omegaramsey import oracle
+from omegaramsey import games, oracle, ramsey
 
 TREE_COLORS = {(1, 2): 0, (1, 3): 0, (1, 4): 1,
                (2, 3): 0, (2, 4): 1, (3, 4): 0}
@@ -307,6 +310,93 @@ class TestRoute:
         assert (got.subfamily.indices, got.color) == (quads6.indices, 0)
 
 
+def reference_nested(family, f, p):
+    """solve_partition's merge or step-up answer through its nested solvers
+    as first written: the pair solver, then the admissible exhaustive scan
+    run again, with the merge fallback on for two colors too."""
+    two = GreedyTwo(p)
+    innings = max(games.DEFAULT_INNINGS, f.arity + p.min_size + 3)
+
+    def base2(domain, g):
+        # through the module, so that a patched scan sees the second run
+        got = ramsey._solve_pairs_2(family, g, p, domain)
+        if got is not None and got.admissible is TRUE:
+            return got.subfamily.indices, got.color
+        return ramsey._exhaustive_mono(family, g, domain, p,
+                                       require_admissible=True)
+
+    def solve(domain, g):
+        if g.arity == 2:
+            got = merge_colors_solve(family, g, base2, p, domain)
+        else:
+            got = stepup_solve(family, g, solve, two, innings, p, domain)
+        return None if got is None else (got[0].indices, got[1])
+
+    if f.arity == 2:
+        return merge_colors_solve(family, f, base2, p, fallback=False)
+    return stepup_solve(family, f, solve, two, innings, p, fallback=False)
+
+
+def scan_keys(scan):
+    """(coloring, domain, require_admissible) of each exhaustive scan a
+    mock saw; the mock holds every coloring, so no id is reused."""
+    keys = []
+    for call in scan.call_args_list:
+        family, f, domain, p, *flag = call.args
+        keys.append((id(f), tuple(domain),
+                     flag[0] if flag else call.kwargs["require_admissible"]))
+    return keys
+
+
+class TestScansOnce:
+    @pytest.mark.parametrize("arity, colors", [(2, 3), (2, 4), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("min_size", [2, 3])
+    def test_each_coloring_and_domain_is_scanned_once(self, twelve6, arity,
+                                                      colors, min_size):
+        # merge and step-up instances on twelve6: the nested two-color solver
+        # reads the scan it ran among the pair solver's candidates instead of
+        # scanning again, and the answers are those of the rescanning solvers
+        p = LargenessParams(d=2, min_size=min_size)
+        rng = random.Random(17)
+        rescans = 0
+        for _ in range(8):
+            f = random_coloring(12, arity, colors, rng)
+            with mock.patch.object(ramsey, "_exhaustive_mono",
+                                   wraps=ramsey._exhaustive_mono) as scan:
+                got = solve_partition(twelve6, f, p)
+                keys = scan_keys(scan)
+                scan.reset_mock()
+                want = reference_nested(twelve6, f, p)
+                old_keys = scan_keys(scan)
+            assert keys and len(set(keys)) == len(keys)
+            rescans += len(old_keys) - len(set(old_keys))
+            if want is None:
+                assert got.route == "exhaustive"
+            else:
+                assert (got.route, got.subfamily, got.color) == \
+                    ("merge" if arity == 2 else "stepup", *want)
+        assert rescans > 0      # the rescanning solvers did scan twice
+
+    def test_a_scan_answer_ranked_below_the_walks_is_kept(self):
+        # the walks find the seven {1, 2} members, monochromatic but not a
+        # cover; the scan's one admissible answer, the {3, 4} member with
+        # another, ranks below them on the size guarantee, and base2 hands
+        # it on without scanning again
+        family = Family.of(4, [{1, 2}, {3, 4}] + [{1, 2}] * 7)
+        p = LargenessParams(d=1, min_size=2)
+        table = {c: int(2 in c) for c in itertools.combinations(family.indices, 2)}
+        f = Coloring(2, 3, table)
+        with mock.patch.object(ramsey, "_exhaustive_mono",
+                               wraps=ramsey._exhaustive_mono) as scan:
+            got = solve_partition(family, f, p)
+            keys = scan_keys(scan)
+        assert len(set(keys)) == len(keys)
+        assert (got.route, got.subfamily.indices, got.color) == ("merge", (1, 2), 1)
+        assert reference_nested(family, f, p) == (got.subfamily, got.color)
+        assert ramsey._solve_pairs_2(family, Coloring(2, 2, table), p).route == \
+            "branch"
+
+
 class TestSolvePartition:
     def test_constant_pair_coloring(self, big64, p_pairs):
         got = solve_partition(big64, constant_coloring(64, 2, 1), p_pairs)
@@ -572,6 +662,20 @@ def outcome(build):
 #: a tuple subclass: equal and hashable like a plain pair, but not of type tuple
 Pair = namedtuple("Pair", "lo hi")
 
+
+class Shade(IntEnum):
+    """An int subclass: equal to 0 and 1, but not of type int."""
+    LIGHT = 0
+    DARK = 1
+
+
+#: tables where one key or color equals a clean one but is of another type,
+#: so counting exact types must leave them to the key-by-key pass
+MIXED_TYPE_TABLES = [
+    {(1, 2): 0, (1, 3): False}, {(1, 2): 0, (1, 3): 0.0},
+    {(1, 2): 0, Pair(1, 3): 1}, {(1, 2): 0, (1, 3): Shade.DARK},
+]
+
 ODD_COLORS = st.sampled_from([-1, 0.0, 1.0, 0.5, -0.5, True, False, math.nan,
                               2 ** 70])
 
@@ -620,11 +724,15 @@ class TestColoringConstructor:
         {(1, 2): True}, {(1, 2): 1.0}, {(1, 2): math.nan}, {(1, 2): 2},
         {(1, 2): [0]}, {(1, "a"): 0}, {(1, 2): 0, (2, 1): 1},
         {(1,): 0}, {(): 0}, {(1, 2): 0, (1, 2, 3): 1}, {(1, 2): 0, (3,): 1},
-        {(1, None): 0}, {Pair(1, 2): 0},
+        {(1, None): 0}, {Pair(1, 2): 0}, *MIXED_TYPE_TABLES,
     ], ids=repr)
     def test_edge_tables_match_the_reference(self, table):
         assert outcome(lambda: built(2, 2, table)) == \
             outcome(lambda: reference_built(2, 2, table))
+
+    @pytest.mark.parametrize("table", MIXED_TYPE_TABLES, ids=repr)
+    def test_mixed_types_take_the_key_by_key_pass(self, table):
+        assert not _stored_as_given(2, 2, table)
 
     def test_input_mutation_after_construction_is_not_seen(self):
         table = {(1, 2): 0, (1, 3): 1, (2, 3): 0}

@@ -52,7 +52,7 @@ from omegaramsey import (
     ramsey_via_nw,
     restrict,
 )
-from omegaramsey import ramsey
+from omegaramsey import barriers, ramsey
 from omegaramsey.barriers import FgOutcome, NwOutcome, partition_of
 from omegaramsey.ellentuck import _all_basics_with_content
 from omegaramsey.ground import (
@@ -533,6 +533,25 @@ class TestBarrierScansReference:
         f = Coloring(2, 2, {c: rng.randrange(2)
                             for c in itertools.combinations(twelve6.indices, 2)})
         assert ramsey_via_nw(twelve6, f, p) == reference_ramsey_via_nw(twelve6, f, p)
+
+    def test_seeded_twelve_member_sweep(self, twelve6):
+        # 2-colorings of a 12-member family's pairs, past the hypothesis
+        # cases' 9 members: the one-pass fg scan and the fallback that skips
+        # supersets of mixed sets meet the frozen scans on every coloring,
+        # and the sweep reaches each way of answering
+        p = LargenessParams(d=2, min_size=3)
+        pairs = list(itertools.combinations(twelve6.indices, 2))
+        rng = random.Random(17)
+        kinds = set()
+        for _ in range(200):
+            f = Coloring(2, 2, {c: rng.randrange(2) for c in pairs})
+            with mock.patch.object(barriers, "_homogeneous_scan",
+                                   wraps=barriers._homogeneous_scan) as fallback:
+                got = ramsey_via_nw(twelve6, f, p)
+            assert got == reference_ramsey_via_nw(twelve6, f, p)
+            kinds.add("not_found" if got is None else
+                      "fallback" if fallback.called else "constructive")
+        assert kinds == {"constructive", "fallback", "not_found"}
 
 
 class TestPairWalksReference:
