@@ -606,7 +606,7 @@ def is_nowhere_dense(R: Region, family: Family, p: LargenessParams) -> ThreeVal:
     # R is effect-free and total: one test per distinct member settles every
     # basic holding it
     members = frozenset().union(*(keys for _, _, keys in basics))
-    inside = {d for d in members if R.contains(Subfamily(family, d))}
+    inside = {d for d in members if R.contains(Subfamily._trusted(family, d))}
     free = [keys for _, _, keys in basics if keys.isdisjoint(inside)]
     # a free basic is its own sub-basic missing R; only the others need one
     for _, _, keys in basics:

@@ -104,15 +104,21 @@ class Record:
 
     A record class names its fields in `__slots__`, in declaration order, and
     writes an `__init__` that validates its arguments and sets each field
-    with `object.__setattr__`.  Records print as `Name(field=value, ...)`,
-    are equal when they are of one class with equal field tuples, hash as
-    their field tuple, refuse assignment and deletion, and copy and pickle
-    by calling their class with their field values.  Records used as cache
-    keys define `__eq__` and `__hash__` over their fields inline, which is
-    faster than the generic pair here.
+    with `object.__setattr__`; `_trusted` builds one without that check.
+    Records print as `Name(field=value, ...)`, are equal when they are of one
+    class with equal field tuples, hash as their field tuple, refuse
+    assignment and deletion, and copy and pickle by calling their class with
+    their field values.  Records used as cache keys define `__eq__` and
+    `__hash__` over their fields inline, which is faster than the generic
+    pair here.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # each field's slot descriptor setter, which `_trusted` calls directly
+        cls._slot_setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -137,6 +143,20 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, self._values()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance with `values` set as its fields in `__slots__` order,
+        without running `__init__`.
+
+        Only for values the engine built itself and knows to be valid, such
+        as index tuples taken from `admissible_subsets` of a checked pool;
+        anything read from a caller or a file goes through the class itself.
+        """
+        self = object.__new__(cls)
+        for setter, value in zip(cls._slot_setters, values):
+            setter(self, value)
+        return self
 
 
 class Universe(Record):
@@ -384,12 +404,17 @@ def enumerate_admissible(B: Subfamily, p: LargenessParams,
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _admissible_subsets_asc(family: Family, indices: tuple[int, ...],
-                            p: LargenessParams) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """All admissible subsets of an index pool, ascending canonical order.
+def _admissible_subsets_asc(family: Family, indices: tuple[int, ...], p: LargenessParams
+                            ) -> tuple[tuple[tuple[int, ...], ...], bool,
+                                       tuple[tuple[int, ...], ...]]:
+    """All admissible subsets of an index pool, in both orders.
 
-    Second component flags whether any subset had UNKNOWN admissibility.
-    Only used when the pool is small enough to enumerate exhaustively.
+    Entries are (ascending, saw_unknown, descending).  The ascending tuple is
+    in canonical order; saw_unknown flags whether any subset had UNKNOWN
+    admissibility; the descending tuple holds the same subsets with the size
+    blocks reversed and colex order kept within each size, built once here
+    so that no caller sorts.  Only used when the pool is small enough to
+    enumerate exhaustively.
     """
     out = []
     saw_unknown = False
@@ -399,7 +424,8 @@ def _admissible_subsets_asc(family: Family, indices: tuple[int, ...],
             out.append(combo)
         elif verdict is UNKNOWN:
             saw_unknown = True
-    return tuple(out), saw_unknown
+    blocks = [tuple(block) for _, block in itertools.groupby(out, key=len)]
+    return tuple(out), saw_unknown, tuple(itertools.chain.from_iterable(reversed(blocks)))
 
 
 def admissible_subsets(B: Subfamily, p: LargenessParams,
@@ -408,18 +434,16 @@ def admissible_subsets(B: Subfamily, p: LargenessParams,
 
     Ascending canonical order by default; descending flips the size order
     while keeping colex ties, which is the order used by witness searches.
+    Both orders come from one cache entry, so neither is sorted per call.
     Callers must keep the pool small (2**len(B) <= EXHAUSTIVE_CAP).
     """
     if 2 ** len(B.indices) > EXHAUSTIVE_CAP:
         raise EngineError(f"pool of {len(B.indices)} indices is too large for "
                           f"exhaustive admissible-subset listing")
-    subs, _ = _admissible_subsets_asc(B.family, B.indices, p)
-    if descending:
-        return tuple(sorted(subs, key=lambda t: (-len(t), colex_key(t))))
-    return subs
+    asc, _, desc = _admissible_subsets_asc(B.family, B.indices, p)
+    return desc if descending else asc
 
 
 def admissible_subsets_unknown_flag(B: Subfamily, p: LargenessParams) -> bool:
     """True when some subset of B had UNKNOWN admissibility in the cached scan."""
-    _, flag = _admissible_subsets_asc(B.family, B.indices, p)
-    return flag
+    return _admissible_subsets_asc(B.family, B.indices, p)[1]

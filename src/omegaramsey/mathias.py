@@ -149,7 +149,8 @@ def dense_meet(c: Condition, D: Callable[[Condition], bool],
             budget -= 1
             if budget < 0:
                 return None
-            candidate = Condition(stem, Subfamily(c.family, side_indices))
+            # stem is normalized and the side comes from a checked pool
+            candidate = Condition._trusted(stem, Subfamily._trusted(c.family, side_indices))
             if D(candidate):
                 return candidate
     return None

@@ -131,7 +131,8 @@ def brute_homogeneous(family: Family, f, r: int, k: int,
     """All subfamilies of size >= min_size on which f is constant.
 
     Powerset filter; a set qualifies when it has at least one r-subset and
-    all of them share one color.
+    all of them share one color.  A set's r-subsets are read only up to the
+    first one of another color, so f must be total on the family.
     """
     _guard(len(family), "family")
     if f.arity != r or f.colors != k:
@@ -140,12 +141,12 @@ def brute_homogeneous(family: Family, f, r: int, k: int,
     for combo in _subsets(family.indices):
         if len(combo) < max(min_size, 1):
             continue
-        tuples = list(itertools.combinations(combo, r))
-        if not tuples:
+        colors = map(f.of, itertools.combinations(combo, r))
+        first = next(colors, None)
+        if first is None:
             continue
-        colors = {f.of(t) for t in tuples}
-        if len(colors) == 1:
-            out.append((combo, colors.pop()))
+        if all(c == first for c in colors):
+            out.append((combo, first))
     return out
 
 

@@ -1,15 +1,19 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegaramsey import (
     Coloring,
+    EngineError,
     ExplicitRegion,
+    Family,
     FiniteSetFamily,
     PredicateRegion,
     Subfamily,
 )
 from omegaramsey.oracle import (
+    SIZE_LIMIT,
     OracleSizeError,
     brute_accepts,
     brute_cr,
@@ -61,6 +65,75 @@ class TestHomogeneous:
         f = Coloring(2, 2, {c: 0 for c in
                             itertools.combinations(range(1, 5), 2)})
         assert brute_homogeneous(tree4, f, 2, 2, 5) == []
+
+
+def reference_brute_homogeneous(family, f, r, k, min_size):
+    """`brute_homogeneous` reading every r-subset's color, kept as the reference."""
+    if len(family) > SIZE_LIMIT:
+        raise OracleSizeError(f"family of size {len(family)} exceeds the oracle "
+                              f"limit of {SIZE_LIMIT}")
+    if f.arity != r or f.colors != k:
+        raise EngineError("coloring shape does not match the requested check")
+    out = []
+    for size in range(len(family) + 1):
+        for combo in itertools.combinations(family.indices, size):
+            if len(combo) < max(min_size, 1):
+                continue
+            tuples = list(itertools.combinations(combo, r))
+            if not tuples:
+                continue
+            colors = {f.of(t) for t in tuples}
+            if len(colors) == 1:
+                out.append((combo, colors.pop()))
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EngineError as err:
+        return type(err), str(err)
+
+
+@st.composite
+def homogeneous_cases(draw):
+    """A family of up to 9 members, a total coloring of its 1- to 4-sets of
+    indices, the shape asked for (now and then not the coloring's), and a
+    size floor.  Most colorings are one color with a few exceptions, so that
+    large homogeneous sets occur."""
+    n = draw(st.integers(1, 9))
+    arity = draw(st.integers(1, 4))
+    colors = draw(st.integers(1, 3))
+    keys = list(itertools.combinations(range(1, n + 1), arity))
+    color = st.integers(0, colors - 1)
+    if draw(st.booleans()):
+        table = dict(zip(keys, draw(st.lists(color, min_size=len(keys),
+                                             max_size=len(keys)))))
+    else:
+        table = dict.fromkeys(keys, draw(color))
+        for key in draw(st.lists(st.sampled_from(keys), max_size=4)) if keys else ():
+            table[key] = draw(color)
+    shape = draw(st.sampled_from([(arity, colors)] * 8 +
+                                 [(arity % 4 + 1, colors), (arity, colors + 1)]))
+    family = Family.of(2, [{1}] * n)
+    return family, Coloring(arity, colors, table), shape, draw(st.integers(0, n + 1))
+
+
+class TestHomogeneousReference:
+    @settings(max_examples=300, deadline=None)
+    @given(homogeneous_cases())
+    def test_matches_the_full_color_read(self, case):
+        family, f, (r, k), min_size = case
+        assert outcome(brute_homogeneous, family, f, r, k, min_size) == \
+            outcome(reference_brute_homogeneous, family, f, r, k, min_size)
+
+    def test_size_guard_refuses(self):
+        fam = Family.of(2, [{1}] * (SIZE_LIMIT + 1))
+        f = Coloring(1, 1, {(i,): 0 for i in fam.indices})
+        assert outcome(brute_homogeneous, fam, f, 1, 1, 1) == \
+            outcome(reference_brute_homogeneous, fam, f, 1, 1, 1)
+        with pytest.raises(OracleSizeError):
+            brute_homogeneous(fam, f, 1, 1, 1)
 
 
 class TestNw:

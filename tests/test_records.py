@@ -161,6 +161,57 @@ def test_keywords_are_the_field_names(cls):
     assert cls(**dict(zip(fields, values(x, fields)))) == x
 
 
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_trusted_sets_the_fields_in_order(cls):
+    make, fields = RECORDS[cls]
+    x = make()
+    y = cls._trusted(*values(x, fields))
+    assert type(y) is cls and y == x
+    assert values(y, fields) == values(x, fields)
+
+
+#: the records the engine builds unchecked: a Subfamily on indices it listed
+#: itself, and a Condition over such a Subfamily with a normalized stem
+TRUSTED = {
+    ground.Subfamily: (lambda: ground.Subfamily._trusted(FAM, (2, 3)),
+                       lambda: ground.Subfamily(FAM, (2, 3))),
+    mathias.Condition: (lambda: mathias.Condition._trusted(
+                            (1,), ground.Subfamily._trusted(FAM, (2, 3))),
+                        lambda: mathias.Condition((1,), SUB)),
+}
+
+
+@pytest.mark.parametrize("cls", list(TRUSTED), ids=[c.__name__ for c in TRUSTED])
+class TestTrusted:
+    def test_equal_to_the_validated_instance(self, cls):
+        trusted, checked = TRUSTED[cls]
+        x, y = trusted(), checked()
+        assert type(x) is cls
+        assert x == y and y == x and not x != y
+        assert hash(x) == hash(y)
+        assert repr(x) == repr(y)
+        assert len({x, y}) == 1
+
+    def test_copies_and_pickles_like_the_validated_instance(self, cls):
+        trusted, checked = TRUSTED[cls]
+        x, y = trusted(), checked()
+        for twin in (copy.copy(x), copy.deepcopy(x),
+                     pickle.loads(pickle.dumps(x, protocol=pickle.HIGHEST_PROTOCOL)),
+                     pickle.loads(pickle.dumps(x, protocol=0))):
+            assert type(twin) is cls
+            assert twin == y and hash(twin) == hash(y)
+        assert pickle.dumps(x) == pickle.dumps(y)
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls):
+        trusted, _ = TRUSTED[cls]
+        x = trusted()
+        for name in cls.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+
+
 #: the classes with a field that has no default
 REQUIRED = [c for c in CLASSES if c not in (ramsey.NoStep, games.NotFound)]
 

@@ -2,7 +2,8 @@
 
 The copies below are kept as the reference: `is_nowhere_dense`'s membership
 test per member of every basic's content and `dense_meet`'s extension check
-per candidate; `barriers`' density, fg and homogenization scans, which build
+per candidate; the descending admissible order as a sort of the ascending
+one; `barriers`' density, fg and homogenization scans, which build
 every mask they test; and the pivot tree's `_split` and the exhaustive net,
 which read each color through `Coloring.of`.  The engine may find the same
 answers with less work, so every answer is compared with the copy's on random
@@ -52,7 +53,7 @@ from omegaramsey import (
     ramsey_via_nw,
     restrict,
 )
-from omegaramsey import barriers, ramsey
+from omegaramsey import barriers, ground, ramsey
 from omegaramsey.barriers import FgOutcome, NwOutcome, partition_of
 from omegaramsey.ellentuck import _all_basics_with_content
 from omegaramsey.ground import (
@@ -60,6 +61,7 @@ from omegaramsey.ground import (
     EngineError,
     _admissible_cached,
     admissible_subsets,
+    admissible_subsets_unknown_flag,
     colex_key,
     subsets_canonical,
 )
@@ -96,6 +98,20 @@ def reference_dense_meet(c, D, p):
             if D(candidate):
                 return candidate
     return None
+
+
+def reference_descending(ascending):
+    """The descending order as a sort of the ascending tuple, kept as the reference."""
+    return tuple(sorted(ascending, key=lambda t: (-len(t), colex_key(t))))
+
+
+def reference_scan(pool, p):
+    """The admissible subsets of a pool in canonical order, and whether any
+    subset's verdict was UNKNOWN."""
+    verdicts = [(c, _admissible_cached(pool.family, c, p))
+                for c in subsets_canonical(pool.indices, min_size=p.min_size)]
+    return (tuple(c for c, v in verdicts if v is TRUE),
+            any(v is UNKNOWN for _, v in verdicts))
 
 
 def reference_mask(indices):
@@ -421,6 +437,69 @@ class TestDenseMeetReference:
                     seen_kinds.add((got[0] is None, bool(got[1])))
         # answers, budget spent before any candidate, and budget spent after some
         assert seen_kinds == {(False, True), (True, False), (True, True)}
+
+
+@st.composite
+def pool_cases(draw):
+    """A pool in a family of up to 10 members, and params.
+
+    Bounds below the count of point sets leave every covering subset's
+    verdict UNKNOWN, so those pools list no admissible subset and raise the
+    UNKNOWN flag.
+    """
+    family = draw(families(max_members=10))
+    draw_set = draw(st.sampled_from((index_sets, large_index_sets)))
+    pool = Subfamily(family, draw_set(len(family), draw))
+    bound = draw(st.one_of(st.integers(1, 16), st.just(1_000_000)))
+    p = LargenessParams(d=draw(st.integers(1, 2)), min_size=draw(st.integers(1, 4)),
+                        search_bound=bound)
+    return pool, p
+
+
+def both_orders(pool, p, descending_first):
+    """The two orders of one pool, the requested one read first."""
+    if descending_first:
+        descending = admissible_subsets(pool, p, descending=True)
+        return admissible_subsets(pool, p), descending
+    ascending = admissible_subsets(pool, p)
+    return ascending, admissible_subsets(pool, p, descending=True)
+
+
+class TestDescendingOrderReference:
+    @settings(max_examples=200, deadline=None)
+    @given(pool_cases(), st.booleans())
+    def test_matches_the_sort_cold_and_warm(self, case, descending_first):
+        pool, p = case
+        ascending, flag = reference_scan(pool, p)
+        ground._admissible_subsets_asc.cache_clear()
+        cold = both_orders(pool, p, descending_first)
+        warm = both_orders(pool, p, not descending_first)
+        assert ground._admissible_subsets_asc.cache_info().misses == 1
+        for got in (cold, warm):
+            assert got == (ascending, reference_descending(ascending))
+        assert admissible_subsets_unknown_flag(pool, p) is flag
+
+    def test_pools_with_and_without_unknown_sets(self, grid5, twelve6):
+        # the grid's d=1 cover reads 5 point sets and twelve6's d=2 cover 21,
+        # so bounds below those leave every covering subset UNKNOWN
+        seen = set()
+        for family, d in ((grid5, 1), (twelve6, 2)):
+            for bound in (3, 4, 20, 1_000_000):
+                p = LargenessParams(d=d, min_size=3, search_bound=bound)
+                for pool in (Subfamily.full(family),
+                             Subfamily(family, family.indices[1::2])):
+                    ascending, flag = reference_scan(pool, p)
+                    for descending_first in (True, False):
+                        ground._admissible_subsets_asc.cache_clear()
+                        for _ in range(2):
+                            assert both_orders(pool, p, descending_first) == \
+                                (ascending, reference_descending(ascending))
+                    assert admissible_subsets_unknown_flag(pool, p) is flag
+                    sizes = len({len(c) for c in ascending})
+                    assert not (flag and sizes)
+                    seen.add((flag, sizes > 1))
+        # UNKNOWN pools list nothing; some others list subsets of several sizes
+        assert {(True, False), (False, True)} <= seen
 
 
 @st.composite
