@@ -375,6 +375,47 @@ class TestCrConstructiveRoute:
                                     ComplementRegion(region), p)
 
 
+class TestCrConstructiveWitness:
+    """Instances where `cr_witness`'s constructive route gives the answer.
+
+    Three-point members over 5 points at d=1, min_size 3, found among random
+    instances of 6 to 10 members; the route answered about 1 in 400 of them.
+    Here B's own check fails, and the play's witness is smaller than the one
+    the exhaustive route's largest-first scan finds.
+    """
+
+    CASES = [
+        # the play decides its picks accept the stem, and the picks answer
+        ([[2, 3, 4], [1, 2, 5], [3, 4, 5], [1, 3, 5], [1, 2, 5], [1, 3, 4],
+          [1, 3, 5], [1, 4, 5], [1, 2, 4], [2, 3, 5]], (),
+         {"type": "complement", "inner": {"type": "basicUnion", "basics": [
+             {"stem": [4, 8], "reservoir": [9, 10]}]}},
+         ("inside", (1, 2, 3, 4, 5, 6)), ("inside", (1, 2, 3, 4, 5, 6, 7, 9, 10))),
+        # the stem is rejected, and the rejection play's picks answer
+        ([[1, 2, 3], [1, 3, 4], [1, 2, 5], [3, 4, 5], [1, 3, 5], [2, 4, 5],
+          [3, 4, 5], [1, 2, 5], [2, 3, 5], [3, 4, 5]], (1,),
+         {"type": "basicUnion", "basics": [{"stem": [1, 8], "reservoir": [9, 10]}]},
+         ("outside", (2, 3, 4)), ("outside", (2, 3, 4, 5, 6, 7, 8, 9))),
+    ]
+
+    @pytest.mark.parametrize("members,stem,region_json,auto,exhaustive", CASES,
+                             ids=["inside", "outside"])
+    def test_the_play_answers_first(self, members, stem, region_json, auto,
+                                    exhaustive):
+        from omegaramsey import Family
+        fam = Family.of(5, members)
+        p = LargenessParams(d=1, min_size=3)
+        region = region_from_json(region_json, fam)
+        B = restrict(Subfamily.full(fam), stem)
+        got = {route: cr_witness(region, stem, B, p, route=route)
+               for route in ("auto", "exhaustive")}
+        assert {route: (o.kind, o.witness.indices) for route, o in got.items()} == \
+            {"auto": auto, "exhaustive": exhaustive}
+        want = region if auto[0] == "inside" else ComplementRegion(region)
+        for outcome in got.values():
+            assert oracle.brute_accepts(outcome.witness, stem, want, p)
+
+
 class TestBaireRegion:
     def test_symmetric_difference_membership(self, grid5, p_grid):
         from omegaramsey.ellentuck import baire_region
@@ -409,6 +450,36 @@ class TestDecideUnknown:
         starved = LargenessParams(d=1, min_size=3, search_bound=3)
         got = decide(full_grid, (), ALWAYS, starved)
         assert got.kind == "unknown" and got.witness is None
+
+
+class TestUnknownAdmissibility:
+    """Cover checks that run out of budget inside the calculus.
+
+    Over 20 points at d=2 the cover check reads 210 point sets, and the pair
+    {1, 20} lies in none of the four member shapes; it comes 192nd.  Under a
+    bound of 100, every subfamily that covers the singletons is UNKNOWN and
+    every other one FALSE, so none is admissible.  Six members take the
+    exhaustive branches and eight the budgeted lazy ones.
+    """
+
+    SHAPES = (range(1, 20), range(2, 21), range(1, 19), range(3, 21))
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("stem", [(), (1,)])
+    def test_every_answer_is_unknown(self, n, stem):
+        from omegaramsey import Family
+        fam = Family.of(20, [set(self.SHAPES[i % 4]) for i in range(n)])
+        p = LargenessParams(d=2, min_size=2, search_bound=100)
+        B = restrict(Subfamily.full(fam), stem)
+        assert (2 ** len(B) <= p.search_bound) is (n == 6)
+        assert admissible(B, p) is UNKNOWN
+        for region in (NEVER, ALWAYS):
+            assert accepts(B, stem, region, p) is UNKNOWN
+            assert rejects(B, stem, region, p) is UNKNOWN
+            assert decide(B, stem, region, p).kind == "unknown"
+            for route in ("auto", "exhaustive"):
+                assert cr_witness(region, stem, B, p, route=route).kind == "not_found"
+        assert nwd_witness(NEVER, stem, B, p).kind == "not_found"
 
 
 class TestLazyPathAgainstOracle:

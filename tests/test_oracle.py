@@ -4,18 +4,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegaramsey import (
+    BasicUnionRegion,
     Coloring,
+    ComplementRegion,
+    EllentuckBasic,
     EngineError,
     ExplicitRegion,
     Family,
     FiniteSetFamily,
+    IntersectionRegion,
+    LargenessParams,
     PredicateRegion,
     Subfamily,
+    UnionRegion,
+    as_stem,
 )
 from omegaramsey.oracle import (
     SIZE_LIMIT,
     OracleSizeError,
     brute_accepts,
+    brute_admissible,
     brute_cr,
     brute_homogeneous,
     brute_nw,
@@ -134,6 +142,102 @@ class TestHomogeneousReference:
             outcome(reference_brute_homogeneous, fam, f, 1, 1, 1)
         with pytest.raises(OracleSizeError):
             brute_homogeneous(fam, f, 1, 1, 1)
+
+
+def reference_brute_cr(R, s, B, p):
+    """`brute_cr` with its own loop over the members of [s, C], kept as the
+    reference."""
+    if len(B.indices) > SIZE_LIMIT:
+        raise OracleSizeError(f"reservoir of size {len(B.indices)} exceeds the "
+                              f"oracle limit of {SIZE_LIMIT}")
+    s = as_stem(s)
+    fam = B.family
+    for size in range(len(B.indices) + 1):
+        for combo in itertools.combinations(B.indices, size):
+            if not brute_admissible(Subfamily(fam, combo), p):
+                continue
+            inside = outside = True
+            for k in range(len(combo) + 1):
+                for extra in itertools.combinations(combo, k):
+                    d_indices = tuple(sorted(set(s) | set(extra)))
+                    if set(extra) - set(s) and s and min(set(extra) - set(s)) <= max(s):
+                        continue
+                    if not brute_admissible(Subfamily(fam, d_indices), p):
+                        continue
+                    if R.contains(Subfamily(fam, d_indices)):
+                        outside = False
+                    else:
+                        inside = False
+            if inside:
+                return ("inside", Subfamily(fam, combo))
+            if outside:
+                return ("outside", Subfamily(fam, combo))
+    return None
+
+
+def index_tuples(n):
+    return st.sets(st.integers(1, n), max_size=n).map(lambda xs: tuple(sorted(xs)))
+
+
+def basics(family):
+    """A basic [stem, reservoir] over the family, the reservoir cut above the stem."""
+    n = len(family)
+
+    def basic(stem, reservoir):
+        return EllentuckBasic(stem, Subfamily(
+            family, tuple(i for i in reservoir if i > max(stem, default=0))))
+    return st.builds(basic, index_tuples(n).map(lambda t: t[:2]), index_tuples(n))
+
+
+def regions(family):
+    """Explicit and basic-union regions under union, intersection and complement."""
+    leaves = (st.frozensets(index_tuples(len(family)), max_size=6).map(ExplicitRegion)
+              | st.lists(basics(family), max_size=3).map(
+                  lambda bs: BasicUnionRegion(tuple(bs))))
+    return st.recursive(leaves, lambda inner: (
+        st.lists(inner, min_size=1, max_size=3).map(lambda ps: UnionRegion(tuple(ps)))
+        | st.lists(inner, min_size=1, max_size=3).map(
+            lambda ps: IntersectionRegion(tuple(ps)))
+        | inner.map(ComplementRegion)), max_leaves=6)
+
+
+@st.composite
+def cr_cases(draw):
+    """A region, a stem, a reservoir the stem may not precede, and params,
+    over 4 to 8 members of 2 or more points that cover 4 or 5 points; one
+    draw in four covers pairs (d=2)."""
+    size = draw(st.integers(4, 5))
+    proper = [frozenset(c) for r in range(2, size)
+              for c in itertools.combinations(range(1, size + 1), r)]
+    members = draw(st.lists(st.sampled_from(proper), min_size=4, max_size=8)
+                   .filter(lambda ms: len(frozenset().union(*ms)) == size))
+    family = Family.of(size, members)
+    n = len(family)
+    stem = draw(index_tuples(n))[:draw(st.integers(0, 2))]
+    if draw(st.booleans()):
+        pool = tuple(i for i in family.indices if i > max(stem, default=0))
+    else:
+        pool = draw(index_tuples(n))
+    d = 2 if draw(st.integers(0, 3)) == 3 else 1
+    p = LargenessParams(d=d, min_size=draw(st.integers(1, 4)))
+    return draw(regions(family)), stem, Subfamily(family, pool), p
+
+
+class TestCrReference:
+    @settings(max_examples=300, deadline=None)
+    @given(cr_cases())
+    def test_matches_the_member_loop(self, case):
+        region, stem, B, p = case
+        assert outcome(brute_cr, region, stem, B, p) == \
+            outcome(reference_brute_cr, region, stem, B, p)
+
+    def test_size_guard_refuses(self, p_grid):
+        fam = Family.of(6, [{1, 2, 3}] * (SIZE_LIMIT + 1))
+        B = Subfamily.full(fam)
+        assert outcome(brute_cr, NEVER, (), B, p_grid) == \
+            outcome(reference_brute_cr, NEVER, (), B, p_grid)
+        with pytest.raises(OracleSizeError):
+            brute_cr(NEVER, (), B, p_grid)
 
 
 class TestNw:

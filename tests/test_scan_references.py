@@ -2,7 +2,8 @@
 
 The copies below are kept as the reference: `is_nowhere_dense`'s membership
 test per member of every basic's content and `dense_meet`'s extension check
-per candidate; the descending admissible order as a sort of the ascending
+per candidate; `cr_witness` with the check of the reservoir and the
+largest-first scan written out as two loops; the descending admissible order as a sort of the ascending
 one; `barriers`' density, fg and homogenization scans, which build
 every mask they test; and the pivot tree's `_split` and the exhaustive net,
 which read each color through `Coloring.of`.  The engine may find the same
@@ -12,6 +13,7 @@ predicate in order, and for colorings that miss an entry, the error's type
 and message.
 """
 
+import collections
 import itertools
 import random
 from typing import Optional
@@ -40,9 +42,11 @@ from omegaramsey import (
     Subfamily,
     ThreeVal,
     UnionRegion,
+    admissible,
     as_stem,
     build_partition_tree,
     branch_walk,
+    cr_witness,
     dense_meet,
     extends,
     fg_witness,
@@ -50,12 +54,18 @@ from omegaramsey import (
     is_nowhere_dense,
     is_thin,
     nw_homogenize,
+    precedes,
     ramsey_via_nw,
     restrict,
 )
 from omegaramsey import barriers, ground, ramsey
 from omegaramsey.barriers import FgOutcome, NwOutcome, partition_of
-from omegaramsey.ellentuck import _all_basics_with_content
+from omegaramsey.ellentuck import (
+    CrOutcome,
+    _all_basics_with_content,
+    _basic_content,
+    _cr_constructive,
+)
 from omegaramsey.ground import (
     EXHAUSTIVE_CAP,
     EngineError,
@@ -98,6 +108,39 @@ def reference_dense_meet(c, D, p):
             if D(candidate):
                 return candidate
     return None
+
+
+def reference_cr_witness(R, s, B, p, innings=4, subset_cap=3, route="auto"):
+    """`cr_witness` testing B and the scanned candidates in two loops, kept
+    as the reference."""
+    s = as_stem(s)
+    if not precedes(s, B):
+        raise ContractError(f"stem {s} does not precede reservoir {B.indices}")
+    if route not in ("auto", "exhaustive"):
+        raise StructuralError(f"unknown cr_witness route {route!r}")
+    if admissible(B, p) is TRUE:
+        content, saw_unknown = _basic_content(B.family, s, B.indices, p)
+        if not saw_unknown:
+            flags = [R.contains(D) for D in content]
+            if all(flags):
+                return CrOutcome("inside", B)
+            if not any(flags):
+                return CrOutcome("outside", B)
+    if route == "auto" and len(s) <= subset_cap:
+        got = _cr_constructive(R, s, B, p, innings, subset_cap)
+        if got is not None:
+            return got
+    for c_indices in admissible_subsets(B, p, descending=True):
+        C = Subfamily(B.family, c_indices)
+        content, saw_unknown = _basic_content(B.family, s, c_indices, p)
+        if saw_unknown:
+            continue
+        flags = [R.contains(D) for D in content]
+        if all(flags):
+            return CrOutcome("inside", C)
+        if not any(flags):
+            return CrOutcome("outside", C)
+    return CrOutcome("not_found", None)
 
 
 def reference_descending(ascending):
@@ -373,6 +416,38 @@ def meet_cases(draw):
     return Condition(stem, Subfamily(family, side)), (kind, floor, modulus), p
 
 
+@st.composite
+def cr_cases(draw):
+    """A region, a stem, a reservoir and params.
+
+    Half the reservoirs are the family past the stem; the others are drawn
+    apart from it, so the stem may fail to precede them.  One draw in four
+    covers pairs (d=2), and one in four has a bound below the count of point
+    sets, which leaves every cover verdict UNKNOWN.
+    """
+    family, region, _ = draw(region_cases())
+    n = len(family)
+    stem = index_sets(n, draw)[:draw(st.integers(0, 2))]
+    if draw(st.booleans()):
+        B = restrict(Subfamily.full(family), stem)
+    else:
+        B = Subfamily(family, draw(st.sampled_from((index_sets, large_index_sets)))(n, draw))
+    bound = draw(st.integers(1, 16)) if draw(st.integers(0, 3)) == 3 else 1_000_000
+    d = 2 if draw(st.integers(0, 3)) == 3 else 1
+    p = LargenessParams(d=d, min_size=draw(st.integers(1, 4)), search_bound=bound)
+    return region, stem, B, p
+
+
+def cr_outcome(search, R, s, B, p, route):
+    """What a cr_witness search gives, and the members it tests against R in order."""
+    seen = []
+
+    def contains(D):
+        seen.append(D.indices)
+        return R.contains(D)
+    return outcome(search, PredicateRegion(contains, "logged"), s, B, p, 4, 3, route), seen
+
+
 def logged(predicate):
     """The predicate D built from a drawn spec, and the list D appends to."""
     kind, floor, modulus = predicate
@@ -463,6 +538,34 @@ def both_orders(pool, p, descending_first):
         return admissible_subsets(pool, p), descending
     ascending = admissible_subsets(pool, p)
     return ascending, admissible_subsets(pool, p, descending=True)
+
+
+class TestCrWitnessReference:
+    @settings(max_examples=300, deadline=None)
+    @given(cr_cases(), st.sampled_from(("auto", "exhaustive")))
+    def test_matches_the_two_loop_scan(self, case, route):
+        region, stem, B, p = case
+        assert cr_outcome(cr_witness, region, stem, B, p, route) == \
+            cr_outcome(reference_cr_witness, region, stem, B, p, route)
+
+    def test_seen_outcomes_on_the_grid(self, grid5, p_grid):
+        # single basics [stem, C] over the grid's admissible sets, asked at
+        # the stems below; B itself, a smaller candidate and no candidate answer
+        full = Subfamily.full(grid5)
+        kinds = collections.Counter()
+        for c_indices in admissible_subsets(full, p_grid)[::3]:
+            for stem in ((), (1,), (2,)):
+                top = max(stem, default=0)
+                region = BasicUnionRegion((EllentuckBasic(
+                    stem, Subfamily(grid5, tuple(i for i in c_indices if i > top))),))
+                B = restrict(full, stem)
+                for route in ("auto", "exhaustive"):
+                    got = cr_outcome(cr_witness, region, stem, B, p_grid, route)
+                    assert got == cr_outcome(reference_cr_witness, region, stem, B,
+                                             p_grid, route)
+                    answer = got[0]
+                    kinds[answer.kind, answer.witness == B] += 1
+        assert {("inside", False), ("outside", True), ("outside", False)} <= set(kinds)
 
 
 class TestDescendingOrderReference:
