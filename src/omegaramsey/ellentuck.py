@@ -502,32 +502,33 @@ def cr_witness(R: Region, s: Stem, B: Subfamily, p: LargenessParams,
     if route not in ("auto", "exhaustive"):
         raise StructuralError(f"unknown cr_witness route {route!r}")
 
+    got = None
     # B itself settles the trivial cases and is the best witness when it works
     if admissible(B, p) is TRUE:
-        content, saw_unknown = _basic_content(B.family, s, B.indices, p)
-        if not saw_unknown:
-            flags = [R.contains(D) for D in content]
-            if all(flags):
-                return CrOutcome("inside", B)
-            if not any(flags):
-                return CrOutcome("outside", B)
-
-    if route == "auto" and len(s) <= subset_cap:
+        got = _cr_scan(R, s, B.family, (B.indices,), p)
+    if got is None and route == "auto" and len(s) <= subset_cap:
         got = _cr_constructive(R, s, B, p, innings, subset_cap)
-        if got is not None:
-            return got
+    if got is None:
+        got = _cr_scan(R, s, B.family, admissible_subsets(B, p, descending=True), p)
+    return got or CrOutcome("not_found", None)
 
-    for c_indices in admissible_subsets(B, p, descending=True):
-        C = Subfamily(B.family, c_indices)
-        content, saw_unknown = _basic_content(B.family, s, c_indices, p)
+
+def _cr_scan(R: Region, s: Stem, family: Family, candidates: Iterable[tuple[int, ...]],
+             p: LargenessParams) -> Optional[CrOutcome]:
+    """The first admissible candidate C with [s, C] inside or outside R, in order.
+
+    A candidate with UNKNOWN admissibility in its content is skipped.
+    """
+    for c_indices in candidates:
+        content, saw_unknown = _basic_content(family, s, c_indices, p)
         if saw_unknown:
             continue
         flags = [R.contains(D) for D in content]
         if all(flags):
-            return CrOutcome("inside", C)
+            return CrOutcome("inside", Subfamily(family, c_indices))
         if not any(flags):
-            return CrOutcome("outside", C)
-    return CrOutcome("not_found", None)
+            return CrOutcome("outside", Subfamily(family, c_indices))
+    return None
 
 
 def _cr_constructive(R: Region, s: Stem, B: Subfamily, p: LargenessParams,
@@ -578,13 +579,10 @@ def _all_basics_with_content(family: Family, p: LargenessParams
     content keyset) in canonical order over stems, then reservoirs.  Callers
     keep the family to at most 12 members.
     """
-    n = len(family)
+    full = Subfamily.full(family)
     out = []
-    for stem in subsets_canonical(range(1, n + 1)):
-        tail = tuple(i for i in range(1, n + 1) if not stem or i > max(stem))
-        for reservoir in subsets_canonical(tail, min_size=p.min_size):
-            if _admissible_cached(family, reservoir, p) is not TRUE:
-                continue
+    for stem in subsets_canonical(full.indices):
+        for reservoir in admissible_subsets(restrict(full, stem), p):
             content, _ = _basic_content(family, stem, reservoir, p)
             if content:
                 out.append((stem, reservoir,

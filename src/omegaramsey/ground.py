@@ -279,9 +279,6 @@ class Subfamily(Record):
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __contains__(self, index: int) -> bool:
-        return index in set(self.indices)
-
     def members(self) -> tuple[frozenset[int], ...]:
         return tuple(self.family.member(i) for i in self.indices)
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .ground import CACHE_SIZE, EngineError, Family, LargenessParams, Subfamily
-from .ellentuck import Region, as_stem
+from .ellentuck import ComplementRegion, Region, as_stem
 
 SIZE_LIMIT = 12
 
@@ -94,35 +94,23 @@ def brute_rejects(B: Subfamily, s, R: Region, p: LargenessParams) -> bool:
 
 def brute_cr(R: Region, s, B: Subfamily,
              p: LargenessParams) -> Optional[tuple[str, Subfamily]]:
-    """First admissible C <= B with [s, C] inside R or disjoint from R.
+    """First admissible C <= B with [s, C] inside R or disjoint from R: C
+    accepts s against R, or against R's complement.
 
     Returns ("inside", C) or ("outside", C), or None when no admissible
     subset of B is decided either way.
     """
     _guard(len(B.indices), "reservoir")
     s = as_stem(s)
-    fam = B.family
+    complement = ComplementRegion(R)
     for combo in _subsets(B.indices):
-        if not _is_admissible(fam, combo, p):
+        if not _is_admissible(B.family, combo, p):
             continue
-        inside = True
-        outside = True
-        for extra in _subsets(combo):
-            d_indices = tuple(sorted(set(s) | set(extra)))
-            if set(extra) - set(s) and s and min(set(extra) - set(s)) <= max(s):
-                continue
-            if not _is_admissible(fam, d_indices, p):
-                continue
-            if R.contains(Subfamily(fam, d_indices)):
-                outside = False
-            else:
-                inside = False
-            if not inside and not outside:
-                break
-        if inside:
-            return ("inside", Subfamily(fam, combo))
-        if outside:
-            return ("outside", Subfamily(fam, combo))
+        C = Subfamily(B.family, combo)
+        if brute_accepts(C, s, R, p):
+            return ("inside", C)
+        if brute_accepts(C, s, complement, p):
+            return ("outside", C)
     return None
 
 

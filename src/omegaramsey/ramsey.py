@@ -85,6 +85,10 @@ class Coloring:
 
     def __init__(self, arity: int, colors: int,
                  table: dict[tuple[int, ...], int]) -> None:
+        if type(arity) is not int:
+            raise StructuralError(f"coloring arity {arity!r} is not an integer")
+        if type(colors) is not int:
+            raise StructuralError(f"coloring color count {colors!r} is not an integer")
         if arity < 1:
             raise StructuralError("coloring arity must be >= 1")
         if colors < 1:
@@ -133,7 +137,7 @@ class Coloring:
         try:
             entries = {tuple(k): v for k, v in data["entries"]}
             coloring = cls(data["arity"], data["colors"], entries)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise StructuralError(f"malformed coloring JSON: {exc}") from exc
         coloring.ensure_total(family.indices)
         return coloring

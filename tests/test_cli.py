@@ -78,6 +78,11 @@ SUB = ["--sub", fx("sub_quads_all.json")]
 TREE = ["--family", fx("family_tree4.json"), "--coloring", fx("coloring_tree4.json")]
 GRID = ["--family", fx("family_grid5.json"), "--d", "1", "--minsize", "3"]
 EIGHT = ["--family", fx("family_eight5.json"), "--d", "1", "--minsize", "3"]
+SOLVE = ["ramsey-solve", "--family", fx("family_tree4.json"), "--coloring", BAD,
+         "--d", "1", "--minsize", "3"]
+#: a total coloring of tree4's pairs, with its arity and color count to fill in
+TREE4_ENTRIES = (b'{"arity": %s, "colors": %s, "entries": [[[1, 2], 0], [[1, 3], 0], '
+                 b'[[1, 4], 1], [[2, 3], 0], [[2, 4], 1], [[3, 4], 0]]}')
 
 
 def invoke_both(argv):
@@ -135,10 +140,21 @@ class TestMalformedInput:
          b'[[1, 4], 1], [[2, 3], 0], [[2, 4], 1], [[3, 4], 0]]}',
          ["ramsey-solve", "--family", fx("family_tree4.json"), "--coloring", BAD,
           "--d", "1", "--minsize", "3"]),
+        (b'{"arity": 2, "colors": 2, "entries": [[[1, 2], 0, 5]]}', SOLVE),
+        (b'{"arity": 2, "colors": 2, "entries": [[[1, 2]]]}',
+         ["tree-build", "--family", fx("family_tree4.json"), "--coloring", BAD]),
+        (b'{"arity": 2, "colors": 2, "entries": {"a": 1}}',
+         ["oracle-homogeneous", "--family", fx("family_tree4.json"), "--coloring", BAD]),
+        (TREE4_ENTRIES % (b"2.0", b"2"), SOLVE),
+        (TREE4_ENTRIES % (b"2", b"2.5"), SOLVE),
+        (TREE4_ENTRIES % (b"true", b"2"),
+         ["tree-build", "--family", fx("family_tree4.json"), "--coloring", BAD]),
     ], ids=["members-not-a-list", "nested-sub", "directory-as-family", "not-utf8",
             "tree-build-d0", "mathias-extends-d0", "region-sets-not-a-list",
             "basic-without-reservoir", "stem-not-a-list", "partition-part-not-a-list",
-            "condition-without-stem", "fractional-color"])
+            "condition-without-stem", "fractional-color", "entry-of-three",
+            "entry-of-one", "entries-an-object", "float-arity",
+            "fractional-color-count", "bool-arity"])
     def test_one_error_line_and_exit_one(self, tmp_path, content, argv):
         bad = tmp_path
         if content is not None:

@@ -379,7 +379,7 @@ class TestCrConstructiveWitness:
     """Instances where `cr_witness`'s constructive route gives the answer.
 
     Three-point members over 5 points at d=1, min_size 3, found among random
-    instances of 6 to 10 members; the route answered about 1 in 400 of them.
+    instances of 6 to 10 members; the route answered about 3 in 1,000 of them.
     Here B's own check fails, and the play's witness is smaller than the one
     the exhaustive route's largest-first scan finds.
     """

@@ -730,6 +730,20 @@ class TestColoringConstructor:
         assert outcome(lambda: built(2, 2, table)) == \
             outcome(lambda: reference_built(2, 2, table))
 
+    @pytest.mark.parametrize("arity,colors,message", [
+        (2.0, 2, "coloring arity 2.0 is not an integer"),
+        (True, 2, "coloring arity True is not an integer"),
+        ("2", 2, "coloring arity '2' is not an integer"),
+        (2, 2.5, "coloring color count 2.5 is not an integer"),
+        (2, 2.0, "coloring color count 2.0 is not an integer"),
+        (2, True, "coloring color count True is not an integer"),
+        (Shade.DARK, 2, "coloring arity <Shade.DARK: 1> is not an integer"),
+    ])
+    def test_arity_and_color_count_must_be_ints(self, arity, colors, message):
+        with pytest.raises(StructuralError) as info:
+            Coloring(arity, colors, {(1, 2): 0})
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("table", MIXED_TYPE_TABLES, ids=repr)
     def test_mixed_types_take_the_key_by_key_pass(self, table):
         assert not _stored_as_given(2, 2, table)
@@ -771,6 +785,11 @@ class TestColoringJson:
         data["entries"] = data["entries"][:-1]
         with pytest.raises(StructuralError):
             Coloring.from_json(data, tree4)
+
+    @pytest.mark.parametrize("entries", [[[[1, 2], 0, 5]], [[[1, 2]]], {"a": 1}, [5]])
+    def test_malformed_entries_are_structural_errors(self, tree4, entries):
+        with pytest.raises(StructuralError, match="^malformed coloring JSON: "):
+            Coloring.from_json({"arity": 2, "colors": 2, "entries": entries}, tree4)
 
     def test_color_range_checked(self):
         with pytest.raises(StructuralError):

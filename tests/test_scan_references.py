@@ -3,14 +3,14 @@
 The copies below are kept as the reference: `is_nowhere_dense`'s membership
 test per member of every basic's content and `dense_meet`'s extension check
 per candidate; `cr_witness` with the check of the reservoir and the
-largest-first scan written out as two loops; the descending admissible order as a sort of the ascending
-one; `barriers`' density, fg and homogenization scans, which build
-every mask they test; and the pivot tree's `_split` and the exhaustive net,
-which read each color through `Coloring.of`.  The engine may find the same
-answers with less work, so every answer is compared with the copy's on random
-small families: verdicts, witnesses and the candidates handed to a
-predicate in order, and for colorings that miss an entry, the error's type
-and message.
+largest-first scan written out as two loops; the descending admissible order
+as a sort of the ascending one; `barriers`' density, fg and homogenization
+scans, which build every mask they test; and the pivot tree's `_split` and
+the exhaustive net, which read each color through `Coloring.of`.  The engine
+may find the same answers with less work, so every answer is compared with
+the copy's on random small families: verdicts, witnesses and the candidates
+handed to a predicate in order, and for colorings that miss an entry, the
+error's type and message.
 """
 
 import collections
