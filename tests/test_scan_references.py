@@ -5,12 +5,15 @@ test per member of every basic's content and `dense_meet`'s extension check
 per candidate; `cr_witness` with the check of the reservoir and the
 largest-first scan written out as two loops; the descending admissible order
 as a sort of the ascending one; `barriers`' density, fg and homogenization
-scans, which build every mask they test; and the pivot tree's `_split` and
-the exhaustive net, which read each color through `Coloring.of`.  The engine
-may find the same answers with less work, so every answer is compared with
-the copy's on random small families: verdicts, witnesses and the candidates
-handed to a predicate in order, and for colorings that miss an entry, the
-error's type and message.
+scans, which build every mask they test; the pivot tree's `_split` and the
+exhaustive net, which read each color through `Coloring.of`; and the pair
+solver's branch and classical walks, which split every level through that
+`_split`, and its ranking, which builds a validated Subfamily and asks for
+its admissibility once per ranked candidate and again for the result.  The
+engine may find the same answers with less work, so every answer is
+compared with the copy's on random small families: verdicts, witnesses and
+the candidates handed to a predicate in order, and for colorings that miss
+an entry, the error's type and message.
 """
 
 import collections
@@ -27,16 +30,20 @@ from omegaramsey import (
     TRUE,
     UNKNOWN,
     BasicUnionRegion,
+    BranchResult,
     Coloring,
     ComplementRegion,
     Condition,
     ContractError,
+    DegenerateError,
     EllentuckBasic,
     ExplicitRegion,
     Family,
     FiniteSetFamily,
     IntersectionRegion,
+    InternalCheckError,
     LargenessParams,
+    PartitionResult,
     PredicateRegion,
     StructuralError,
     Subfamily,
@@ -49,6 +56,7 @@ from omegaramsey import (
     cr_witness,
     dense_meet,
     extends,
+    extract_homogeneous,
     fg_witness,
     is_dense,
     is_nowhere_dense,
@@ -57,6 +65,7 @@ from omegaramsey import (
     precedes,
     ramsey_via_nw,
     restrict,
+    solve_partition,
 )
 from omegaramsey import barriers, ground, ramsey
 from omegaramsey.barriers import FgOutcome, NwOutcome, partition_of
@@ -75,6 +84,7 @@ from omegaramsey.ground import (
     colex_key,
     subsets_canonical,
 )
+from omegaramsey.ramsey import pair_size_guarantee
 
 
 def reference_is_nowhere_dense(R, family, p):
@@ -320,6 +330,115 @@ def reference_exhaustive_mono(family, f, domain, p, require_admissible):
 
     grow((), None, sorted(domain))
     return best
+
+
+def reference_branch_walk(family, f, domain=None):
+    """`branch_walk` splitting every level through `reference_split`."""
+    if f.arity != 2 or f.colors > 2:
+        raise ContractError("branch walk needs a 2-coloring of pairs")
+    domain = family.indices if domain is None else tuple(sorted(domain))
+    content = domain
+    pivots, colors = [], []
+    for pivot in domain:
+        if pivot in content:
+            pivots.append(pivot)
+        zero, one = reference_split(content, pivot, f)
+        if not zero and not one:
+            break
+        if len(one) > len(zero):
+            colors.append(1)
+            content = one
+        else:
+            colors.append(0)
+            content = zero
+    if len(pivots) < 2:
+        raise DegenerateError("family too small for a branch walk")
+    return BranchResult(family, tuple(pivots), tuple(colors), domain)
+
+
+def reference_extract_homogeneous(br, f):
+    """`extract_homogeneous` finding each pivot's level in a dict over the domain."""
+    *colored, last = br.pivots
+    level = {index: m for m, index in enumerate(br.domain)}
+    by_color = {0: [], 1: []}
+    for pivot in colored:
+        by_color[br.colors[level[pivot]]].append(pivot)
+    color = 0 if len(by_color[0]) >= len(by_color[1]) else 1
+    chosen = tuple(by_color[color]) + (last,)
+    for pair in itertools.combinations(chosen, 2):
+        if f.of(pair) != color:
+            raise InternalCheckError(f"extracted class is not monochromatic at {pair}")
+    return Subfamily(br.family, chosen), color
+
+
+def reference_classical_pivot_walk(family, f, domain):
+    """The minimum-pivot walk splitting every pool through `reference_split`."""
+    pool = tuple(sorted(domain))
+    pivots, colors = [], []
+    while pool:
+        pivot, rest = pool[0], pool[1:]
+        pivots.append(pivot)
+        if not rest:
+            break
+        zero, one = reference_split(rest, pivot, f)
+        if len(one) > len(zero):
+            colors.append(1)
+            pool = one
+        else:
+            colors.append(0)
+            pool = zero
+    by_color = {0: [], 1: []}
+    for pivot, c in zip(pivots, colors):
+        by_color[c].append(pivot)
+    color = 0 if len(by_color[0]) >= len(by_color[1]) else 1
+    return tuple(by_color[color]) + (pivots[-1],), color
+
+
+def reference_best_pair(family, f, p, domain, candidates):
+    """`_best_pair` asking `admissible` of a validated Subfamily for every
+    ranking and again for the result."""
+    bound = pair_size_guarantee(len(domain))
+    route_rank = {"branch": 0, "exhaustive": 1, "classical": 2}
+
+    def rank(cand):
+        indices, _, route = cand
+        adm = admissible(Subfamily(family, indices), p) is TRUE
+        return (0 if len(indices) >= bound else 1, 0 if adm else 1,
+                route_rank[route])
+
+    indices, color, route = min(candidates, key=rank)
+    combos = list(itertools.combinations(sorted(indices), 2))
+    if not combos or any(f.of(c) != color for c in combos):
+        raise InternalCheckError("pair solver produced a non-monochromatic set")
+    sub = Subfamily(family, indices)
+    return PartitionResult(sub, color, admissible(sub, p), route)
+
+
+def reference_pair_candidates(family, f, p, domain):
+    """The pair solver's candidates from the frozen walks and net."""
+    candidates = []
+    try:
+        chosen, color = reference_extract_homogeneous(
+            reference_branch_walk(family, f, domain), f)
+        candidates.append((chosen.indices, color, "branch"))
+    except DegenerateError:
+        pass
+    if 2 ** len(domain) <= 4096:
+        got = reference_exhaustive_mono(family, f, domain, p, True)
+        if got is not None:
+            candidates.append((got[0], got[1], "exhaustive"))
+    chosen, color = reference_classical_pivot_walk(family, f, domain)
+    candidates.append((chosen, color, "classical"))
+    return candidates
+
+
+def reference_solve_pairs_2(family, f, p, domain=None):
+    """The 2-color pair solver built from the frozen pieces above."""
+    domain = family.indices if domain is None else tuple(sorted(domain))
+    if len(domain) < 2:
+        return None
+    return reference_best_pair(family, f, p, domain,
+                               reference_pair_candidates(family, f, p, domain))
 
 
 def outcome(fn, *args):
@@ -787,3 +906,93 @@ class TestPairWalksReference:
         for split in (ramsey._split, reference_split):
             assert outcome(split, twelve6.indices, missing[0], f) == \
                 (StructuralError, f"coloring is not defined on {missing}")
+
+
+@st.composite
+def pair_colorings(draw):
+    """`colored_families`' pair colorings, one in four made one-colored: all
+    zeros or all ones on two colors, or the one-color table of zeros."""
+    family, f, p = draw(colored_families())
+    kind = draw(st.sampled_from(("drawn", "drawn", "drawn", "zeros", "ones", "one color")))
+    if kind != "drawn":
+        colors, value = (1, 0) if kind == "one color" else (2, int(kind == "ones"))
+        f = Coloring(2, colors, dict.fromkeys(f._table, value))
+    return family, f, p
+
+
+def lone_survivor_table(family):
+    """A 2-coloring of a 12-member family's pairs whose branch walk keeps 12
+    alone after level 4, so that levels 5 to 11 each read only (pivot, 12)."""
+    table = dict.fromkeys(itertools.combinations(family.indices, 2), 0)
+    table.update({(1, n): 1 for n in range(2, 7)})     # level 1 keeps 7..12
+    table.update({(2, n): 1 for n in (7, 8, 9)})       # level 2 keeps 10, 11, 12
+    table[3, 10] = 1                                   # level 3 keeps 11, 12
+    table[4, 11] = 1                                   # level 4 keeps 12
+    return table
+
+
+class TestPairSolverReference:
+    @settings(max_examples=300, deadline=None)
+    @given(pair_colorings(), st.data())
+    def test_walks_and_ranking_match_the_frozen_copies(self, case, data):
+        family, f, p = case
+        domain = index_sets(len(family), data.draw)
+        for args in ((family, f), (family, f, domain)):
+            got = outcome(branch_walk, *args)
+            assert got == outcome(reference_branch_walk, *args)
+            if isinstance(got, BranchResult):
+                assert outcome(extract_homogeneous, got, f) == \
+                    outcome(reference_extract_homogeneous, got, f)
+        if domain:  # its one caller passes two indices or more
+            assert outcome(ramsey._classical_pivot_walk, family, f, domain) == \
+                outcome(reference_classical_pivot_walk, family, f, domain)
+        # the candidates' one caller passes two indices or more
+        candidates = len(domain) >= 2 and \
+            outcome(reference_pair_candidates, family, f, p, domain)
+        if candidates:
+            assert outcome(ramsey._pair_candidates, family, f, p, domain) == candidates
+        if isinstance(candidates, list):
+            # every nonempty choice of candidates, so each rank decides somewhere
+            chosen = data.draw(st.lists(st.sampled_from(candidates), min_size=1,
+                                        max_size=3))
+            assert outcome(ramsey._best_pair, family, f, p, domain, chosen) == \
+                outcome(reference_best_pair, family, f, p, domain, chosen)
+        for args in ((family, f, p), (family, f, p, domain)):
+            assert outcome(ramsey._solve_pairs_2, *args) == \
+                outcome(reference_solve_pairs_2, *args)
+
+    @pytest.mark.parametrize("missing", [None, (5, 12), (8, 12), (11, 12), (5, 11)])
+    def test_a_lone_survivor_reads_its_own_pairs(self, twelve6, p_pairs, missing):
+        table = lone_survivor_table(twelve6)
+        whole = reference_branch_walk(twelve6, Coloring(2, 2, table))
+        assert whole.pivots == (1, 12) and len(whole.colors) == 11
+        if missing is not None:
+            del table[missing]
+        f = Coloring(2, 2, table)
+        for domain in (twelve6.indices, (1, 2, 3, 4, 6, 8, 10, 11, 12)):
+            got = outcome(branch_walk, twelve6, f, domain)
+            assert got == outcome(reference_branch_walk, twelve6, f, domain)
+            assert outcome(ramsey._solve_pairs_2, twelve6, f, p_pairs, domain) == \
+                outcome(reference_solve_pairs_2, twelve6, f, p_pairs, domain)
+        # the walk over the whole family reads (5, 12) to (11, 12) past level
+        # 4, and never (5, 11)
+        if missing in ((5, 12), (8, 12), (11, 12)):
+            assert outcome(branch_walk, twelve6, f) == \
+                (StructuralError, f"coloring is not defined on {missing}")
+        else:
+            assert branch_walk(twelve6, f).pivots == (1, 12)
+
+    def test_seeded_big64_sweep(self, big64, p_pairs):
+        # the benchmark's 64-member pair colorings: the solver meets the
+        # frozen pieces on set, color, admissibility and route
+        pairs = list(itertools.combinations(big64.indices, 2))
+        rng = random.Random(22)
+        routes = collections.Counter()
+        for _ in range(200):
+            f = Coloring(2, 2, {c: rng.randrange(2) for c in pairs})
+            got = solve_partition(big64, f, p_pairs)
+            want = reference_solve_pairs_2(big64, f, p_pairs)
+            assert (got.subfamily, got.color, got.admissible, got.route) == \
+                (want.subfamily, want.color, want.admissible, want.route)
+            routes[got.route] += 1
+        assert set(routes) == {"branch", "classical"}
