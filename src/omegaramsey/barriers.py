@@ -28,6 +28,7 @@ from .ground import (
     Subfamily,
     ThreeVal,
     admissible_subsets,
+    json_indices,
 )
 from .ellentuck import Stem, as_stem
 
@@ -59,7 +60,7 @@ class FiniteSetFamily(Record):
         if not isinstance(data, dict) or "stems" not in data:
             raise StructuralError("finite set family JSON needs 'stems'")
         try:
-            return cls.of(family, (tuple(s) for s in data["stems"]))
+            return cls.of(family, (tuple(json_indices(s)) for s in data["stems"]))
         except TypeError as exc:
             raise StructuralError(f"malformed finite set family JSON: {exc!r}") from exc
 

@@ -84,7 +84,8 @@ def _stems_partition(args, fam: ground.Family):
 
     T = barriers.FiniteSetFamily.from_json(_load_json(args.stems), fam)
     try:
-        parts = [[tuple(s) for s in part] for part in _load_json(args.partition)]
+        parts = [[tuple(ground.json_indices(s)) for s in part]
+                 for part in _load_json(args.partition)]
     except TypeError as exc:
         raise ground.StructuralError(f"malformed partition JSON: {exc!r}") from exc
     return T, parts

@@ -36,6 +36,7 @@ from .ground import (
     admissible,
     admissible_subsets,
     admissible_subsets_unknown_flag,
+    json_indices,
     subsets_canonical,
     subsets_lazy,
 )
@@ -97,7 +98,7 @@ class EllentuckBasic(Record):
     @classmethod
     def from_json(cls, data: dict, family: Family) -> "EllentuckBasic":
         try:
-            return cls(as_stem(data["stem"]),
+            return cls(as_stem(json_indices(data["stem"])),
                        Subfamily.from_json(data["reservoir"], family))
         except (KeyError, TypeError) as exc:
             raise StructuralError(f"malformed basic JSON: {exc!r}") from exc
@@ -285,8 +286,8 @@ def region_from_json(data: dict, family: Family) -> Region:
     kind = data["type"]
     try:
         if kind == "explicit":
-            return ExplicitRegion(frozenset(
-                Subfamily.of(family, s).indices for s in data["sets"]))
+            return ExplicitRegion(frozenset(Subfamily.of(family, json_indices(s)).indices
+                                            for s in data["sets"]))
         if kind == "basicUnion":
             return BasicUnionRegion(tuple(
                 EllentuckBasic.from_json(b, family) for b in data["basics"]))
@@ -568,16 +569,27 @@ def _cr_constructive(R: Region, s: Stem, B: Subfamily, p: LargenessParams,
     return None
 
 
+class _BasicsTable(tuple):
+    """A tuple of (stem, reservoir, content keyset) entries, with `members`,
+    the union of their keysets."""
+
+    def __new__(cls, entries):
+        self = super().__new__(cls, entries)
+        self.members = frozenset().union(*(keys for _, _, keys in entries))
+        return self
+
+
 @lru_cache(maxsize=CACHE_SIZE)
-def _all_basics_with_content(family: Family, p: LargenessParams
-                             ) -> tuple[tuple[Stem, tuple[int, ...], frozenset], ...]:
+def _all_basics_with_content(family: Family, p: LargenessParams) -> _BasicsTable:
     """Every basic with an admissible reservoir and nonempty admissible content.
 
     Reservoirs are required admissible: they stand in for the infinite large
     reservoirs of the idealized setting, and keeping them large is what stops
     single-point basics from acting as atoms.  Entries are (stem, reservoir,
-    content keyset) in canonical order over stems, then reservoirs.  Callers
-    keep the family to at most 12 members.
+    content keyset) in canonical order over stems, then reservoirs; the
+    table's `members` is the union of the keysets, kept with the entries
+    since it depends on nothing else.  Callers keep the family to at most 12
+    members.
     """
     full = Subfamily.full(family)
     out = []
@@ -587,7 +599,7 @@ def _all_basics_with_content(family: Family, p: LargenessParams
             if content:
                 out.append((stem, reservoir,
                             frozenset(D.indices for D in content)))
-    return tuple(out)
+    return _BasicsTable(out)
 
 
 def is_nowhere_dense(R: Region, family: Family, p: LargenessParams) -> ThreeVal:
@@ -603,8 +615,7 @@ def is_nowhere_dense(R: Region, family: Family, p: LargenessParams) -> ThreeVal:
     basics = _all_basics_with_content(family, p)
     # R is effect-free and total: one test per distinct member settles every
     # basic holding it
-    members = frozenset().union(*(keys for _, _, keys in basics))
-    inside = {d for d in members if R.contains(Subfamily._trusted(family, d))}
+    inside = {d for d in basics.members if R.contains(Subfamily._trusted(family, d))}
     free = [keys for _, _, keys in basics if keys.isdisjoint(inside)]
     # a free basic is its own sub-basic missing R; only the others need one
     for _, _, keys in basics:

@@ -243,6 +243,15 @@ class Family(Record):
             raise StructuralError(f"malformed family JSON: {exc}") from exc
 
 
+def json_indices(values):
+    """An index array read from JSON, refused when it holds `true` or `false`:
+    JSON booleans load as Python bools, which pass for the ints 1 and 0."""
+    for v in values:
+        if v is True or v is False:
+            raise StructuralError(f"index {str(v).lower()} is not an integer")
+    return values
+
+
 class Subfamily(Record):
     """A sorted set of indices into a Family."""
 
@@ -290,7 +299,7 @@ class Subfamily(Record):
         if not isinstance(data, list):
             raise StructuralError("subfamily JSON must be an index array")
         try:
-            return cls.of(family, data)
+            return cls.of(family, json_indices(data))
         except TypeError as exc:
             raise StructuralError(f"malformed subfamily JSON: {exc}") from exc
 

@@ -21,6 +21,7 @@ from .ground import (
     Subfamily,
     admissible,
     admissible_subsets,
+    json_indices,
     subsets_canonical,
 )
 from .ellentuck import Stem, as_stem, precedes, restrict
@@ -47,7 +48,7 @@ class Condition(Record):
     @classmethod
     def from_json(cls, data: dict, family: Family) -> "Condition":
         try:
-            return cls(as_stem(data["stem"]),
+            return cls(as_stem(json_indices(data["stem"])),
                        Subfamily.from_json(data["side"], family))
         except (KeyError, TypeError) as exc:
             raise StructuralError(f"malformed condition JSON: {exc!r}") from exc

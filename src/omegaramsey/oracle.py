@@ -118,23 +118,24 @@ def brute_homogeneous(family: Family, f, r: int, k: int,
                       min_size: int) -> list[tuple[tuple[int, ...], int]]:
     """All subfamilies of size >= min_size on which f is constant.
 
-    Powerset filter; a set qualifies when it has at least one r-subset and
-    all of them share one color.  A set's r-subsets are read only up to the
-    first one of another color, so f must be total on the family.
+    Powerset filter over the allowed sizes, smallest first; a set qualifies
+    when it has at least one r-subset and all of them share one color.  A
+    set's r-subsets are read only up to the first one of another color, so f
+    must be total on the family.
     """
     _guard(len(family), "family")
     if f.arity != r or f.colors != k:
         raise EngineError("coloring shape does not match the requested check")
     out: list[tuple[tuple[int, ...], int]] = []
-    for combo in _subsets(family.indices):
-        if len(combo) < max(min_size, 1):
-            continue
-        colors = map(f.of, itertools.combinations(combo, r))
-        first = next(colors, None)
-        if first is None:
-            continue
-        if all(c == first for c in colors):
-            out.append((combo, first))
+    pool = sorted(family.indices)
+    for size in range(max(min_size, 1), len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            colors = map(f.of, itertools.combinations(combo, r))
+            first = next(colors, None)
+            if first is None:
+                continue
+            if all(map(first.__eq__, colors)):
+                out.append((combo, first))
     return out
 
 

@@ -235,21 +235,43 @@ def branch_walk(family: Family, f: Coloring,
     if f.arity != 2 or f.colors > 2:
         raise ContractError("branch walk needs a 2-coloring of pairs")
     domain = family.indices if domain is None else tuple(sorted(domain))
+    table = f._table
     content = domain
     pivots: list[int] = []
     colors: list[int] = []
-    for pivot in domain:
+    for m, pivot in enumerate(domain):
         if pivot in content:
             pivots.append(pivot)
-        zero, one = _split(content, pivot, f)
-        if not zero and not one:
-            break
+        zero: list[int] = []
+        one: list[int] = []
+        try:
+            for n in content:
+                if n > pivot:       # so the key (pivot, n) is sorted
+                    (one if table[pivot, n] else zero).append(n)
+        except KeyError:
+            _split(content, pivot, f)   # raises the missing-entry error
+            raise
         if len(one) > len(zero):
             colors.append(1)
             content = one
-        else:
+        elif zero:
             colors.append(0)
             content = zero
+        else:
+            break
+        if len(content) == 1:
+            # every level up to the lone survivor keeps it, under its own
+            # color against that level's pivot, and its own level ends the walk
+            last = content[0]
+            tail = domain[m + 1:domain.index(last, m + 1)]
+            try:
+                colors.extend([table[q, last] for q in tail])
+            except KeyError:
+                for q in tail:
+                    f.of((q, last))     # raises the missing-entry error
+                raise
+            pivots.append(last)
+            break
     if len(pivots) < 2:
         raise DegenerateError("family too small for a branch walk")
     return BranchResult(family, tuple(pivots), tuple(colors), domain)
@@ -262,10 +284,9 @@ def extract_homogeneous(br: BranchResult, f: Coloring) -> tuple[Subfamily, int]:
     data condition.
     """
     *colored, last = br.pivots
-    level = {index: m for m, index in enumerate(br.domain)}
     by_color: dict[int, list[int]] = {0: [], 1: []}
     for pivot in colored:
-        by_color[br.colors[level[pivot]]].append(pivot)
+        by_color[br.colors[br.domain.index(pivot)]].append(pivot)
     color = 0 if len(by_color[0]) >= len(by_color[1]) else 1
     chosen = tuple(by_color[color]) + (last,)
     for pair in itertools.combinations(chosen, 2):
@@ -282,15 +303,24 @@ def _classical_pivot_walk(family: Family, f: Coloring,
     Collects at least floor(log2 |domain|) + 1 pivots for every coloring,
     which the tree walk cannot promise once a level loses its pivot.
     """
-    pool = tuple(sorted(domain))
+    table = f._table
+    pool = sorted(domain)
     pivots: list[int] = []
     colors: list[int] = []
     while pool:
-        pivot, rest = pool[0], pool[1:]
+        pivot = pool[0]
         pivots.append(pivot)
-        if not rest:
+        if len(pool) == 1:
             break
-        zero, one = _split(rest, pivot, f)
+        zero: list[int] = []
+        one: list[int] = []
+        try:
+            for n in pool:
+                if n > pivot:       # so the key (pivot, n) is sorted
+                    (one if table[pivot, n] else zero).append(n)
+        except KeyError:
+            _split(pool, pivot, f)      # raises the missing-entry error
+            raise
         if len(one) > len(zero):
             colors.append(1)
             pool = one
@@ -348,30 +378,34 @@ def _exhaustive_mono(family: Family, f: Coloring, domain: tuple[int, ...],
     table = f._table
     floor = max(r, p.min_size) if require_admissible else r
     best: Optional[tuple[tuple[int, ...], int]] = None
+    best_key: Optional[tuple[int, tuple[int, ...]]] = None
+    target = floor      # the size a set must reach to be worth growing
+    verdicts: dict[tuple[int, ...], bool] = {}
 
     def is_admissible(indices: tuple[int, ...]) -> bool:
-        # every probe meets the size gate, so a miss still checks the depth
-        return _admissible_cached(family, indices, p) is TRUE
-
-    def target() -> int:
-        """The size a set must reach to be worth growing."""
-        return len(best[0]) if best else floor
+        try:
+            return verdicts[indices]
+        except KeyError:
+            # every probe meets the size gate, so a miss still checks the depth
+            ok = verdicts[indices] = _admissible_cached(family, indices, p) is TRUE
+            return ok
 
     def grow(chosen: tuple[int, ...], color: Optional[int],
              joinable: list[int]) -> None:
-        nonlocal best
+        nonlocal best, best_key, target
         size = len(chosen)
-        if size >= floor and (best is None or (-size, colex_key(chosen)) <
-                              (-len(best[0]), colex_key(best[0]))) and \
-                (not require_admissible or is_admissible(chosen)):
-            best = (chosen, color)
-        if size + len(joinable) < target() or (
+        if size >= floor:
+            key = (-size, colex_key(chosen))
+            if (best_key is None or key < best_key) and \
+                    (not require_admissible or is_admissible(chosen)):
+                best, best_key, target = (chosen, color), key, size
+        if size + len(joinable) < target or (
                 require_admissible and joinable and
                 not is_admissible(chosen + tuple(joinable))):
             return
         for pos, j in enumerate(joinable):
             rest = joinable[pos + 1:]
-            if size + 1 + len(rest) < target():
+            if size + 1 + len(rest) < target:
                 break
             grown = chosen + (j,)
             if len(grown) < r:
@@ -451,19 +485,24 @@ def _best_pair(family: Family, f: Coloring, p: LargenessParams,
     """
     bound = pair_size_guarantee(len(domain))
     route_rank = {"branch": 0, "exhaustive": 1, "classical": 2}
+    # one verdict per distinct candidate; the indices are the solver's own,
+    # drawn in increasing order from family.indices
+    verdicts: dict[tuple[int, ...], tuple[Subfamily, ThreeVal]] = {}
+    for indices, _, _ in candidates:
+        if indices not in verdicts:
+            sub = Subfamily._trusted(family, indices)
+            verdicts[indices] = sub, admissible(sub, p)
 
     def rank(cand: tuple[tuple[int, ...], int, str]):
         indices, _, route = cand
-        adm = admissible(Subfamily(family, indices), p) is TRUE
-        return (0 if len(indices) >= bound else 1, 0 if adm else 1,
-                route_rank[route])
+        return (0 if len(indices) >= bound else 1,
+                0 if verdicts[indices][1] is TRUE else 1, route_rank[route])
 
-    best = min(candidates, key=rank)
-    indices, color, route = best
+    indices, color, route = min(candidates, key=rank)
     if not _verify_mono(f, indices, color):
         raise InternalCheckError("pair solver produced a non-monochromatic set")
-    sub = Subfamily(family, indices)
-    return PartitionResult(sub, color, admissible(sub, p), route)
+    sub, verdict = verdicts[indices]
+    return PartitionResult(sub, color, verdict, route)
 
 
 def merge_colors_solve(family: Family, f: Coloring, base2solver: Solver,

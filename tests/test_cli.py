@@ -84,6 +84,10 @@ SOLVE = ["ramsey-solve", "--family", fx("family_tree4.json"), "--coloring", BAD,
 TREE4_ENTRIES = (b'{"arity": %s, "colors": %s, "entries": [[[1, 2], 0], [[1, 3], 0], '
                  b'[[1, 4], 1], [[2, 3], 0], [[2, 4], 1], [[3, 4], 0]]}')
 
+#: the parts of partition_pairs8.json on one line
+PAIRS8_PARTITION = json.dumps(
+    json.loads((FIXTURES / "partition_pairs8.json").read_text())).encode()
+
 
 def invoke_both(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -149,12 +153,28 @@ class TestMalformedInput:
         (TREE4_ENTRIES % (b"2", b"2.5"), SOLVE),
         (TREE4_ENTRIES % (b"true", b"2"),
          ["tree-build", "--family", fx("family_tree4.json"), "--coloring", BAD]),
+        # JSON true would pass for index 1 and false for index 0
+        (b'{"stem": [true], "side": [2, 3, 4, 6, 7, 8, 10, 11, 12]}',
+         ["mathias-meet", "--family", fx("family_twelve6.json"), "--condition", BAD,
+          "--min-stem-size", "2", "--d", "2", "--minsize", "3"]),
+        (b"[true, 2, 3, 4]",
+         ["cover-check", "--family", fx("family_quads6.json"), "--sub", BAD]),
+        (b'{"type": "basicUnion", "basics": [{"stem": [true], "reservoir": [2, 3, 4, 5]}]}',
+         ["decide"] + GRID + ["--region", BAD]),
+        (b'{"type": "explicit", "sets": [[true, 2, 3]]}',
+         ["decide"] + GRID + ["--region", BAD]),
+        (b'{"stems": [[true], [2], [3], [4], [5], [6], [7], [8]]}',
+         ["fg"] + EIGHT + ["--stems", BAD]),
+        (PAIRS8_PARTITION.replace(b"[1, 2]", b"[true, 2]"),
+         ["nw"] + EIGHT + ["--stems", fx("stems_pairs8.json"), "--partition", BAD]),
     ], ids=["members-not-a-list", "nested-sub", "directory-as-family", "not-utf8",
             "tree-build-d0", "mathias-extends-d0", "region-sets-not-a-list",
             "basic-without-reservoir", "stem-not-a-list", "partition-part-not-a-list",
             "condition-without-stem", "fractional-color", "entry-of-three",
             "entry-of-one", "entries-an-object", "float-arity",
-            "fractional-color-count", "bool-arity"])
+            "fractional-color-count", "bool-arity", "true-condition-stem",
+            "true-sub-index", "true-basic-stem", "true-explicit-set-index",
+            "true-fg-stem", "true-partition-stem"])
     def test_one_error_line_and_exit_one(self, tmp_path, content, argv):
         bad = tmp_path
         if content is not None:
