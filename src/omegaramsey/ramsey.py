@@ -8,9 +8,10 @@ color class (plus the final pivot) is monochromatic.
 
 On top of the pair machinery sit three reductions: merging the top two colors
 to cut the color count, projecting an n-tuple coloring down to its two
-smallest entries, and a game-driven step-up from arity n to n+1.
-solve_partition dispatches across them and re-verifies every output before
-returning it.
+smallest entries, and a game-driven step-up from arity n to n+1.  Each runs
+its construction, then the exhaustive scan if that gives nothing;
+solve_partition runs the constructions alone, scans itself, and re-verifies
+every output before returning it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .ground import (
     _admissible_cached,
     admissible,
     colex_key,
+    json_indices,
 )
 
 #: A pluggable solver: takes an index domain and a coloring, returns
@@ -135,7 +137,12 @@ class Coloring:
         if not isinstance(data, dict):
             raise StructuralError("coloring JSON must be an object")
         try:
-            entries = {tuple(k): v for k, v in data["entries"]}
+            entries = {}
+            for k, v in data["entries"]:
+                key = tuple(sorted(json_indices(k)))
+                if key in entries:
+                    raise StructuralError(f"coloring key {key} is given twice")
+                entries[key] = v
             coloring = cls(data["arity"], data["colors"], entries)
         except (KeyError, TypeError, ValueError) as exc:
             raise StructuralError(f"malformed coloring JSON: {exc}") from exc
@@ -507,8 +514,7 @@ def _best_pair(family: Family, f: Coloring, p: LargenessParams,
 
 def merge_colors_solve(family: Family, f: Coloring, base2solver: Solver,
                        p: LargenessParams,
-                       domain: Optional[tuple[int, ...]] = None,
-                       fallback: bool = True
+                       domain: Optional[tuple[int, ...]] = None
                        ) -> Optional[tuple[Subfamily, int]]:
     """Cut a many-color pair instance down to two colors by merging the top.
 
@@ -516,40 +522,33 @@ def merge_colors_solve(family: Family, f: Coloring, base2solver: Solver,
     recursively, and when the merged color wins, the two-color solver reruns
     on the residual domain to split it back apart.  Output is verified
     monochromatic and admissible.  When the induction finds nothing, a
-    direct exhaustive scan answers instead, unless `fallback` is False.
+    direct exhaustive scan answers instead.
     """
     if f.arity != 2:
         raise ContractError("color merging works on pair colorings")
     domain = family.indices if domain is None else tuple(sorted(domain))
-    got = _merge_colors_inner(family, f, base2solver, p, domain)
-    if got is not None or not fallback:
-        return got
     # the induction can die on a residual domain that happens to lack an
     # admissible monochromatic set; the direct scan settles solvability
-    return _scan(family, f, domain, p)
+    return _merge_colors_inner(family, f, base2solver, p, domain) or \
+        _scan(family, f, domain, p)
 
 
 def _merge_colors_inner(family: Family, f: Coloring, base2solver: Solver,
                         p: LargenessParams, domain: tuple[int, ...]
                         ) -> Optional[tuple[Subfamily, int]]:
     if f.colors <= 2:
-        got = base2solver(domain, f)
-        return _check_solver_output(family, f, got, p)
+        return _check_solver_output(family, f, base2solver(domain, f), p)
     c = f.colors
-    merged_table = {}
-    for pair in itertools.combinations(domain, 2):
-        merged_table[pair] = min(f.of(pair), c - 2)
-    g = Coloring(2, c - 1, merged_table)
+    g = Coloring(2, c - 1, {pair: min(f.of(pair), c - 2)
+                            for pair in itertools.combinations(domain, 2)})
     sub = _merge_colors_inner(family, g, base2solver, p, domain)
     if sub is None:
         return None
     B, i = sub
     if i < c - 2:
         return _check_solver_output(family, f, (B.indices, i), p)
-    split_table = {}
-    for pair in itertools.combinations(B.indices, 2):
-        split_table[pair] = f.of(pair) - (c - 2)
-    h = Coloring(2, 2, split_table)
+    h = Coloring(2, 2, {pair: f.of(pair) - (c - 2)
+                        for pair in itertools.combinations(B.indices, 2)})
     got = base2solver(B.indices, h)
     if got is None:
         return None
@@ -587,10 +586,8 @@ def project_solve(family: Family, f: Coloring, nsolver: Solver, n: int,
     if f.arity != 2:
         raise ContractError("projection starts from a pair coloring")
     domain = family.indices if domain is None else tuple(sorted(domain))
-    table = {}
-    for combo in itertools.combinations(domain, n):
-        table[combo] = f.of(combo[:2])
-    g = Coloring(n, f.colors, table)
+    g = Coloring(n, f.colors, {combo: f.of(combo[:2])
+                               for combo in itertools.combinations(domain, n)})
     got = nsolver(domain, g)
     if got is not None:
         indices, color = got
@@ -602,8 +599,7 @@ def project_solve(family: Family, f: Coloring, nsolver: Solver, n: int,
 
 def stepup_solve(family: Family, f: Coloring, nsolver: Solver, two,
                  innings: int, p: LargenessParams,
-                 domain: Optional[tuple[int, ...]] = None,
-                 fallback: bool = True
+                 domain: Optional[tuple[int, ...]] = None
                  ) -> Optional[tuple[Subfamily, int]]:
     """Lift an n-tuple solver to (n+1)-tuples by playing the selection game.
 
@@ -611,34 +607,37 @@ def stepup_solve(family: Family, f: Coloring, nsolver: Solver, two,
     n-tuples completed by it, and plays the homogeneous pool; the picks whose
     recorded colors agree, past the first n of them, are the candidate output.
     When the play faults or no color class is admissible, a direct
-    exhaustive scan answers instead, unless `fallback` is False.
+    exhaustive scan answers instead.
     """
+    domain = family.indices if domain is None else tuple(sorted(domain))
+    # a faulted play or an inadmissible color class still leaves the instance
+    # solvable at desk scale; the exhaustive net settles it either way
+    return _stepup_play(family, f, nsolver, two, innings, p, domain) or \
+        _scan(family, f, domain, p)
+
+
+def _stepup_play(family: Family, f: Coloring, nsolver: Solver, two,
+                 innings: int, p: LargenessParams, domain: tuple[int, ...]
+                 ) -> Optional[tuple[Subfamily, int]]:
+    """The step-up play alone: None when it faults or no class is admissible."""
     from . import games
 
     n = f.arity - 1
     if n < 1:
         raise ContractError("step-up needs arity at least 2")
-    domain = family.indices if domain is None else tuple(sorted(domain))
     strategy = _StepUpOne(family, f, nsolver, domain, n)
     try:
         transcript = games.play(strategy, two, innings, p)
     except games.StrategyFault:
-        transcript = None
-
-    if transcript is not None:
-        colors = transcript.state["colors"]
-        picks = transcript.picks
-        for i in sorted(set(colors.values())):
-            w = tuple(pk for pos, pk in enumerate(picks, start=1)
-                      if pos > n and colors.get(pk) == i)
-            sub = Subfamily.of(family, w)
-            if admissible(sub, p) is TRUE and _verify_mono(f, sub.indices, i):
-                return sub, i
-    if not fallback:
         return None
-    # a faulted play or an inadmissible color class still leaves the instance
-    # solvable at desk scale; the exhaustive net settles it either way
-    return _scan(family, f, domain, p)
+    colors = transcript.state["colors"]
+    for i in sorted(set(colors.values())):
+        w = tuple(pk for pos, pk in enumerate(transcript.picks, start=1)
+                  if pos > n and colors.get(pk) == i)
+        sub = Subfamily.of(family, w)
+        if admissible(sub, p) is TRUE and _verify_mono(f, sub.indices, i):
+            return sub, i
+    return None
 
 
 class _StepUpOne:
@@ -663,10 +662,9 @@ class _StepUpOne:
                     ) -> tuple[tuple[int, ...], int]:
         from . import games
 
-        table = {}
-        for combo in itertools.combinations(pool, self.n):
-            table[combo] = self.f.of(tuple(sorted((fixed,) + combo)))
-        g = Coloring(self.n, self.f.colors, table)
+        g = Coloring(self.n, self.f.colors,
+                     {combo: self.f.of(tuple(sorted((fixed,) + combo)))
+                      for combo in itertools.combinations(pool, self.n)})
         got = self.nsolver(pool, g)
         if got is None:
             raise games.StrategyFault(inning, "tuple solver found nothing")
@@ -692,7 +690,8 @@ def solve_partition(family: Family, f: Coloring,
     """Dispatch a partition instance across the bundled reductions.
 
     Pairs with two colors go to the branch-walk solver; more colors are
-    merged down; higher arities step up from the pair case.  Singleton
+    merged down, higher arities stepped up, and when that construction gives
+    nothing the direct scan answers as route `exhaustive`.  Singleton
     colorings are plain pigeonhole.  Every output is verified; admissibility
     is reported, not required, except where a reduction needs it.
     """
@@ -742,22 +741,23 @@ def solve_partition(family: Family, f: Coloring,
     def solve(domain: tuple[int, ...], g: Coloring
               ) -> Optional[tuple[tuple[int, ...], int]]:
         """The nested solver: merge pairs down, step higher arities up."""
-        if g.arity == 2:
+        if g.arity > 2:
+            got = stepup_solve(family, g, solve, two, innings, p, domain)
+        elif g.colors > 2:
+            got = merge_colors_solve(family, g, base2, p, domain)
+        else:
             # on two colors merging is base2 alone, which answers None only
             # when the admissible exhaustive scan found nothing
-            got = merge_colors_solve(family, g, base2, p, domain,
-                                     fallback=g.colors > 2)
-        else:
-            got = stepup_solve(family, g, solve, two, innings, p, domain)
+            got = _check_solver_output(family, g, base2(domain, g), p)
         return None if got is None else (got[0].indices, got[1])
 
     if n == 2 and k == 2:
         return _solve_pairs_2(family, f, p)
     if n == 2:
-        got = merge_colors_solve(family, f, base2, p, fallback=False)
+        got = _merge_colors_inner(family, f, base2, p, family.indices)
         route = "merge"
     else:
-        got = stepup_solve(family, f, solve, two, innings, p, fallback=False)
+        got = _stepup_play(family, f, solve, two, innings, p, family.indices)
         route = "stepup"
     if got is None:
         # the reduction gave out: the direct scan answers, admissibly if it can
@@ -821,19 +821,19 @@ def counterexample_step(B: Subfamily, tree: PartitionTree,
         if k not in b_set:
             continue
         residual = tuple(i for i in B.indices if i > k)
-        level_nodes = [(path, content) for path, content in tree.level(k)
-                       if admissible(Subfamily(tree.family, content), p) is TRUE]
-        if any(set(residual) <= set(content) for _, content in level_nodes):
+        nodes = [(path, content, set(content)) for path, content in tree.level(k)
+                 if admissible(Subfamily(tree.family, content), p) is TRUE]
+        if any(members.issuperset(residual) for _, _, members in nodes):
             continue
         meets = []
-        for path, content in sorted(level_nodes):
-            overlap = tuple(i for i in residual if i in set(content))
+        for path, content, members in sorted(nodes, key=itemgetter(0)):
+            overlap = tuple(i for i in residual if i in members)
             if admissible(Subfamily(tree.family, overlap), p) is TRUE:
-                meets.append((path, content, overlap))
+                meets.append((path, content, members, overlap))
         if not meets:
             return LargenessFailure(k)
-        path, content, overlap = meets[0]
-        outside = [i for i in residual if i not in set(content)]
+        path, content, members, overlap = meets[0]
+        outside = [i for i in residual if i not in members]
         if not outside:
             raise InternalCheckError("escape index must exist at a split level")
         return Step(k, path, content, outside[0],

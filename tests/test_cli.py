@@ -83,6 +83,17 @@ SOLVE = ["ramsey-solve", "--family", fx("family_tree4.json"), "--coloring", BAD,
 #: a total coloring of tree4's pairs, with its arity and color count to fill in
 TREE4_ENTRIES = (b'{"arity": %s, "colors": %s, "entries": [[[1, 2], 0], [[1, 3], 0], '
                  b'[[1, 4], 1], [[2, 3], 0], [[2, 4], 1], [[3, 4], 0]]}')
+#: tree4's coloring with JSON true for index 1 in its first key
+TREE4_TRUE_KEY = (TREE4_ENTRIES % (b"2", b"2")).replace(b"[[1, 2], 0]",
+                                                       b"[[true, 2], 0]")
+#: tree4's coloring with the set {1, 2} given again, in another color
+TREE4_REPEATED_KEY = (TREE4_ENTRIES % (b"2", b"2")).replace(b"]]}",
+                                                           b"], [[2, 1], 1]]}")
+#: the subcommands that read a coloring file, on tree4's family
+COLORING_READERS = [
+    SOLVE,
+    ["tree-build", "--family", fx("family_tree4.json"), "--coloring", BAD],
+    ["oracle-homogeneous", "--family", fx("family_tree4.json"), "--coloring", BAD]]
 
 #: the parts of partition_pairs8.json on one line
 PAIRS8_PARTITION = json.dumps(
@@ -167,6 +178,9 @@ class TestMalformedInput:
          ["fg"] + EIGHT + ["--stems", BAD]),
         (PAIRS8_PARTITION.replace(b"[1, 2]", b"[true, 2]"),
          ["nw"] + EIGHT + ["--stems", fx("stems_pairs8.json"), "--partition", BAD]),
+        *[(TREE4_TRUE_KEY, argv) for argv in COLORING_READERS],
+        # a set given twice: the later color used to win silently
+        *[(TREE4_REPEATED_KEY, argv) for argv in COLORING_READERS],
     ], ids=["members-not-a-list", "nested-sub", "directory-as-family", "not-utf8",
             "tree-build-d0", "mathias-extends-d0", "region-sets-not-a-list",
             "basic-without-reservoir", "stem-not-a-list", "partition-part-not-a-list",
@@ -174,7 +188,9 @@ class TestMalformedInput:
             "entry-of-one", "entries-an-object", "float-arity",
             "fractional-color-count", "bool-arity", "true-condition-stem",
             "true-sub-index", "true-basic-stem", "true-explicit-set-index",
-            "true-fg-stem", "true-partition-stem"])
+            "true-fg-stem", "true-partition-stem", "true-key-solve",
+            "true-key-tree", "true-key-oracle", "repeated-key-solve",
+            "repeated-key-tree", "repeated-key-oracle"])
     def test_one_error_line_and_exit_one(self, tmp_path, content, argv):
         bad = tmp_path
         if content is not None:

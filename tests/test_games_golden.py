@@ -2,11 +2,11 @@
 
 Pins, on seeded small cases, what `decide_all_finite` returns (the DecidedAll
 terminal, picks and verdict table, or the failure's inning and reason) and
-what a step-up play answers with its fallback off, next to `solve_partition`'s
-answer and route on the same coloring, so a rewrite of the strategies or of
-the play that changes any pick, verdict or fault shows up as a diff.  The
-expected results live in tests/golden/games.json.  After an intended change
-of results, rewrite them from the repository root with
+what a step-up play answers without the exhaustive scan, next to
+`solve_partition`'s answer and route on the same coloring, so a rewrite of the
+strategies or of the play that changes any pick, verdict or fault shows up as
+a diff.  The expected results live in tests/golden/games.json.  After an
+intended change of results, rewrite them from the repository root with
 
     PYTHONPATH=src python tests/test_games_golden.py
 
@@ -29,11 +29,10 @@ from omegaramsey import (
     Subfamily,
     restrict,
     solve_partition,
-    stepup_solve,
 )
 from omegaramsey.ellentuck import region_from_json
 from omegaramsey.games import DecidedAll, decide_all_finite
-from omegaramsey.ramsey import _exhaustive_mono
+from omegaramsey.ramsey import _exhaustive_mono, _stepup_play
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "games.json"
 
@@ -167,8 +166,8 @@ def stepup_results(case: dict) -> dict:
         return _exhaustive_mono(family, g, domain, p, True)
 
     def stepup():
-        got = stepup_solve(family, f, nsolver, GreedyTwo(p), case["innings"],
-                           p, fallback=False)
+        got = _stepup_play(family, f, nsolver, GreedyTwo(p), case["innings"],
+                           p, family.indices)
         return None if got is None else \
             {"indices": list(got[0].indices), "color": got[1]}
 

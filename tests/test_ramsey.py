@@ -33,7 +33,9 @@ from omegaramsey.ramsey import (
     NoStep,
     Step,
     _exhaustive_mono,
+    _merge_colors_inner,
     _solve_pairs_2,
+    _stepup_play,
     _stored_as_given,
     pair_size_guarantee,
 )
@@ -279,11 +281,23 @@ class TestRoute:
             self, twelve6, p_pairs):
         f = random_coloring(12, 3, 2, random.Random(0))
         solver = exhaustive_solver(twelve6, p_pairs)
-        assert stepup_solve(twelve6, f, solver, GreedyTwo(p_pairs), 8, p_pairs,
-                            fallback=False) is None
+        assert _stepup_play(twelve6, f, solver, GreedyTwo(p_pairs), 8, p_pairs,
+                            twelve6.indices) is None
         W, color = stepup_solve(twelve6, f, solver, GreedyTwo(p_pairs), 8,
                                 p_pairs)
         assert (W.indices, color) == \
+            _exhaustive_mono(twelve6, f, twelve6.indices, p_pairs, True)
+
+    def test_merge_without_an_answer_leaves_the_scan_to_the_public_call(
+            self, twelve6, p_pairs):
+        # the induction dies on a residual domain; merge_colors_solve's own
+        # scan answers, as the step-up's does
+        f = random_coloring(12, 2, 3, random.Random(5))
+        solver = exhaustive_solver(twelve6, p_pairs)
+        assert _merge_colors_inner(twelve6, f, solver, p_pairs,
+                                   twelve6.indices) is None
+        B, color = merge_colors_solve(twelve6, f, solver, p_pairs)
+        assert (B.indices, color) == \
             _exhaustive_mono(twelve6, f, twelve6.indices, p_pairs, True)
 
     def test_step_up_play_answers_a_constant_triple_coloring(self):
@@ -313,7 +327,7 @@ class TestRoute:
 def reference_nested(family, f, p):
     """solve_partition's merge or step-up answer through its nested solvers
     as first written: the pair solver, then the admissible exhaustive scan
-    run again, with the merge fallback on for two colors too."""
+    run again, with the merge's scan run for two colors too."""
     two = GreedyTwo(p)
     innings = max(games.DEFAULT_INNINGS, f.arity + p.min_size + 3)
 
@@ -333,8 +347,8 @@ def reference_nested(family, f, p):
         return None if got is None else (got[0].indices, got[1])
 
     if f.arity == 2:
-        return merge_colors_solve(family, f, base2, p, fallback=False)
-    return stepup_solve(family, f, solve, two, innings, p, fallback=False)
+        return _merge_colors_inner(family, f, base2, p, family.indices)
+    return _stepup_play(family, f, solve, two, innings, p, family.indices)
 
 
 def scan_keys(scan):
