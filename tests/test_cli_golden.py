@@ -74,6 +74,8 @@ CASES = {
                                        "--innings", "2"] + D1, None),
     "s1-select": (["s1-select"] + QUADS + ["--covers", F + "covers_quads.json"] + D2, None),
     "ramsey-solve": (["ramsey-solve"] + TREE + D1, None),
+    "ramsey-solve-exhaustive": (
+        ["ramsey-solve"] + TWELVE + ["--coloring", F + "coloring_twelve6_3.json"] + D2, None),
     "tree-build": (["tree-build"] + TREE + ["--depth", "2"] + D1, None),
     "nw": (["nw"] + NW + D1, None),
     "fg": (["fg"] + EIGHT + ["--stems", F + "stems_singles8.json"] + D1, None),

@@ -5,7 +5,8 @@ test per member of every basic's content and `dense_meet`'s extension check
 per candidate; `cr_witness` with the check of the reservoir and the
 largest-first scan written out as two loops; the descending admissible order
 as a sort of the ascending one; `barriers`' density, fg and homogenization
-scans, which build every mask they test; the pivot tree's `_split` and the
+scans, which build every mask they test, and a part's density scan and fg
+scan run as two passes; the pivot tree's `_split` and the
 exhaustive net, which read each color through `Coloring.of`; and the pair
 solver's branch and classical walks, which split every level through that
 `_split`, and its ranking, which builds a validated Subfamily and asks for
@@ -220,6 +221,26 @@ def reference_fg_witness(S, p):
     if got is None:
         return FgOutcome("not_found", None)
     return FgOutcome("witness", Subfamily(S.family, got))
+
+
+def reference_dense_part(part, family, p, domain):
+    """A part's two passes, kept as the reference: the density scan within
+    the domain mask, then, when it finds no counterexample, the fg scan from
+    the start.  Gives (counterexample mask, None) or (None, fg answer)."""
+    counter = reference_density_counterexample(
+        [reference_mask(s) for s in part], family, p, domain)
+    if counter is not None:
+        return counter, None
+    return None, reference_fg_search(part, family, p, domain)
+
+
+def dense_part(part, family, p, domain):
+    """The engine's density and fg scans of one part, in reference_dense_part's shape."""
+    counter = barriers._density_counterexample(
+        [barriers._mask(s) for s in part], family, p, domain)
+    if counter is not None:
+        return counter, None
+    return None, barriers._fg_search(part, family, p, domain)
 
 
 def reference_nw_homogenize(T, parts, p):
@@ -801,6 +822,19 @@ class TestBarrierScansReference:
         assert outcome(fg_witness, S, p) == outcome(reference_fg_witness, S, p)
 
     @settings(max_examples=200, deadline=None)
+    @given(stem_cases(), st.data())
+    def test_one_part_matches_density_then_fg_within_a_domain(self, case, data):
+        # the domain masks are those a peeled part leaves behind: none, most
+        # of the indices, or any subset of them
+        S, p = case
+        n = len(S.family)
+        kind = data.draw(st.sampled_from(("none", "large", "any")))
+        domain = None if kind == "none" else reference_mask(
+            (large_index_sets if kind == "large" else index_sets)(n, data.draw))
+        assert outcome(dense_part, S.stems, S.family, p, domain) == \
+            outcome(reference_dense_part, S.stems, S.family, p, domain)
+
+    @settings(max_examples=200, deadline=None)
     @given(partition_cases())
     def test_homogenization_matches_the_mask_building_scan(self, case):
         T, parts, p = case
@@ -876,7 +910,7 @@ class TestPairWalksReference:
                 with_reference_split(build_partition_tree, family, f, depth)
 
     @settings(max_examples=200, deadline=None)
-    @given(colored_families(arities=(2, 3), max_colors=3), st.data())
+    @given(colored_families(arities=(1, 2, 3, 4), max_colors=4), st.data())
     def test_exhaustive_net_matches_the_faces_through_of(self, case, data):
         family, f, p = case
         domain = index_sets(len(family), data.draw)
@@ -885,6 +919,32 @@ class TestPairWalksReference:
                            require_admissible) == \
                 outcome(reference_exhaustive_mono, family, f, domain, p,
                         require_admissible)
+
+    def test_seeded_twelve_member_exhaustive_sweep(self, twelve6, p_pairs):
+        # the scan shapes of the merge and step-up routes on the 12-member
+        # family, past the hypothesis cases' 9 members: pair colorings with
+        # 2 to 4 colors and arity 3 and 4 with 2 colors, on the whole family
+        # and on part of it, with and without the admissibility cut; every
+        # fourth table misses one entry
+        rng = random.Random(24)
+        kinds = collections.Counter()
+        for arity, colors in ((2, 2), (2, 3), (2, 4), (3, 2), (4, 2)):
+            keys = list(itertools.combinations(twelve6.indices, arity))
+            for trial in range(16):
+                table = {c: rng.randrange(colors) for c in keys}
+                if trial % 4 == 3:
+                    del table[rng.choice(keys)]
+                f = Coloring(arity, colors, table)
+                domain = twelve6.indices if trial % 2 else \
+                    tuple(sorted(rng.sample(twelve6.indices, rng.randint(5, 11))))
+                for require_admissible in (True, False):
+                    got = outcome(ramsey._exhaustive_mono, twelve6, f, domain,
+                                  p_pairs, require_admissible)
+                    assert got == outcome(reference_exhaustive_mono, twelve6, f,
+                                          domain, p_pairs, require_admissible)
+                    kinds["none" if got is None else
+                          "error" if got[0] is StructuralError else "set"] += 1
+        assert set(kinds) == {"none", "error", "set"}
 
     @pytest.mark.parametrize("missing", [(1, 2), (3, 7), (8, 9)])
     def test_a_missing_pair_names_the_same_key(self, twelve6, p_pairs, missing):
