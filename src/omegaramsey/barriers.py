@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .ground import (
     CACHE_SIZE,
@@ -107,33 +107,53 @@ def _admissible_masked(family: Family, p: LargenessParams
     return tuple((b, _mask(b)) for b in admissible_subsets(Subfamily.full(family), p))
 
 
-def _admissible_in(family: Family, p: LargenessParams, domain: Optional[int]
-                   ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The family's admissible sets within the domain mask (all when None), in
-    canonical order, each with its mask."""
-    masked = _admissible_masked(family, p)
-    if domain is None:
-        return iter(masked)
-    outside = ~domain
-    return (bm for bm in masked if not bm[1] & outside)
+def _within_budget(family: Family, p: LargenessParams) -> bool:
+    """Whether the family is small enough to scan every admissible set."""
+    return 2 ** len(family) <= min(p.search_bound, EXHAUSTIVE_CAP)
 
 
-def _density_counterexample(stems: list[int], family: Family, p: LargenessParams,
-                            domain: Optional[int]) -> Optional[int]:
-    """Mask of the first admissible set (within domain) containing none of
-    the stem masks."""
-    for _, m in _admissible_in(family, p, domain):
-        if all(map((~m).__and__, stems)):
-            return m
-    return None
+def _dense_pass(stems: Optional[frozenset[Stem]], stem_masks: list[int],
+                family: Family, p: LargenessParams, domain: Optional[int]
+                ) -> tuple[Optional[int], Optional[tuple[int, ...]]]:
+    """One walk over the family's admissible sets in canonical order, for
+    the density test and the fg search at once.
+
+    Gives (mask, None) for the first admissible set within the domain mask
+    (all when None) that holds none of the stem masks.  Failing that, gives
+    (None, the fg answer): the first admissible set within the domain whose
+    admissible subsets all start with a stem, that is, one that holds none
+    of the admissible sets that don't.  Every proper subset of a set comes
+    before it, so a set holding one of the minimal stemless sets seen so far
+    is passed over, a stemless set is kept as minimal, and the first set
+    left that starts with a stem and lies within the domain is the answer.
+    A set holding no stem at all is stemless.  Once the answer is found,
+    the walk goes on for the density test alone; `stems` None asks for that
+    test alone from the start.
+    """
+    outside = 0 if domain is None else ~domain
+    searching = stems is not None
+    lengths = {len(s) for s in stems or ()}
+    minimal: list[int] = []
+    found: Optional[tuple[int, ...]] = None
+    for c, m in _admissible_masked(family, p):
+        out = ~m
+        stemfree = all(map(out.__and__, stem_masks))
+        if stemfree and not m & outside:
+            return m, None
+        if searching and all(map(out.__and__, minimal)):
+            if stemfree or not any(c[:j] in stems for j in lengths):
+                minimal.append(m)
+            elif not m & outside:
+                found, searching = c, False
+    return None, found
 
 
 def is_dense(S: FiniteSetFamily, p: LargenessParams) -> ThreeVal:
     """Does every admissible subfamily contain some stem of S as a subset?"""
-    if 2 ** len(S.family) > min(p.search_bound, EXHAUSTIVE_CAP):
+    if not _within_budget(S.family, p):
         return UNKNOWN
-    stems = [_mask(s) for s in S.stems]
-    return ThreeVal.of(_density_counterexample(stems, S.family, p, None) is None)
+    counter, _ = _dense_pass(None, [_mask(s) for s in S.stems], S.family, p, None)
+    return ThreeVal.of(counter is None)
 
 
 class FgOutcome(Record):
@@ -146,39 +166,20 @@ class FgOutcome(Record):
         object.__setattr__(self, "witness", witness)
 
 
-def _fg_search(stems: frozenset[Stem], family: Family, p: LargenessParams,
-               domain: Optional[int]) -> Optional[tuple[int, ...]]:
-    """First admissible set (within domain) whose admissible subsets all start
-    with a stem: one that holds none of the admissible sets that don't.
-
-    One pass in canonical order, where every proper subset of a set comes
-    before it: a set holding one of the minimal stemless sets seen so far is
-    skipped, a stemless set is kept as minimal, and the first set left that
-    starts with a stem and lies within domain is the answer, since every
-    stemless set it could hold has been seen.
-    """
-    lengths = {len(s) for s in stems}
-    outside = 0 if domain is None else ~domain
-    minimal: list[int] = []
-    for c, m in _admissible_masked(family, p):
-        if not all(map((~m).__and__, minimal)):
-            continue
-        if not any(c[:j] in stems for j in lengths):
-            minimal.append(m)
-        elif not m & outside:
-            return c
-    return None
-
-
 def fg_witness(S: FiniteSetFamily, p: LargenessParams) -> FgOutcome:
     """An admissible B whose every admissible subset starts with a stem of S.
 
     Requires S dense; candidates are scanned in canonical order and the
-    winner is verified by construction of the scan.
+    winner is verified by construction of the scan, in the same walk that
+    tests density.
     """
-    if is_dense(S, p) is not TRUE:
+    dense = _within_budget(S.family, p)
+    if dense:
+        counter, got = _dense_pass(S.stems, [_mask(s) for s in S.stems],
+                                   S.family, p, None)
+        dense = counter is None
+    if not dense:
         raise ContractError("fg_witness needs a dense stem family")
-    got = _fg_search(S.stems, S.family, p, None)
     if got is None:
         return FgOutcome("not_found", None)
     return FgOutcome("witness", Subfamily(S.family, got))
@@ -209,16 +210,17 @@ def _peel_parts(fam: Family, normalized: tuple[frozenset[Stem], ...],
     domain: Optional[int] = None
     for part_index, part in enumerate(normalized):
         if part_index == len(normalized) - 1:
-            got = next(_admissible_in(fam, p, domain), (None,))[0]
+            outside = 0 if domain is None else ~domain
+            got = next((c for c, m in _admissible_masked(fam, p) if not m & outside),
+                       None)
         elif not part:
             continue
         else:
-            counter = _density_counterexample(part_masks[part_index], fam, p, domain)
+            counter, got = _dense_pass(part, part_masks[part_index], fam, p, domain)
             if counter is not None:
                 # no stem of this part fits inside `counter`: peel the part off
                 domain = counter
                 continue
-            got = _fg_search(part, fam, p, domain)
         if got is not None and _parts_met(part_masks, _mask(got)) <= {part_index}:
             return NwOutcome("homogeneous", Subfamily(fam, got), part_index)
         return None
@@ -261,23 +263,36 @@ def nw_homogenize(T: FiniteSetFamily, parts: Sequence,
     if not is_thin(T):
         raise ContractError("nw_homogenize needs a thin family")
     normalized = partition_of(T, parts)
-    part_masks = [[_mask(s) for s in part] for part in normalized]
-    return _peel_parts(T.family, normalized, part_masks, p) or \
-        _homogeneous_scan(T.family, part_masks, p)
+    return _homogenize(T.family, normalized,
+                       [[_mask(s) for s in part] for part in normalized], p)
+
+
+def _homogenize(fam: Family, normalized: tuple[frozenset[Stem], ...],
+                part_masks: list[list[int]], p: LargenessParams) -> NwOutcome:
+    """nw_homogenize past its checks: the constructive route, then the scan."""
+    return _peel_parts(fam, normalized, part_masks, p) or \
+        _homogeneous_scan(fam, part_masks, p)
 
 
 def ramsey_via_nw(family: Family, f, p: LargenessParams
                   ) -> Optional[tuple[Subfamily, int]]:
     """Solve a partition instance by homogenizing the thin family of n-sets.
 
-    The n-element index sets, partitioned by color, feed nw_homogenize; the
-    returned part index is the color.
+    The n-element index sets, partitioned by color, are homogenized as
+    nw_homogenize does; the returned part index is the color.  They come
+    sorted and distinct from itertools.combinations, so they form a thin
+    family and their parts a partition of it, without the checks.  A set
+    below the arity holds no n-set and would be homogeneous for every part,
+    so only sets of at least n indices count.
     """
     n, k = f.arity, f.colors
-    stems = [tuple(c) for c in itertools.combinations(family.indices, n)]
-    T = FiniteSetFamily.of(family, stems)
-    parts = [[s for s in stems if f.of(s) == color] for color in range(k)]
-    got = nw_homogenize(T, parts, p)
+    if p.min_size < n:
+        p = LargenessParams(p.d, n, p.search_bound)
+    parts: list[list[Stem]] = [[] for _ in range(k)]
+    for s in itertools.combinations(family.indices, n):
+        parts[f.of(s)].append(s)
+    got = _homogenize(family, tuple(map(frozenset, parts)),
+                      [[_mask(s) for s in part] for part in parts], p)
     if got.kind != "homogeneous":
         return None
     for combo in itertools.combinations(got.witness.indices, n):

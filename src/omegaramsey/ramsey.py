@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from operator import countOf, itemgetter, lt
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .ground import (
     EXHAUSTIVE_CAP,
@@ -35,7 +35,6 @@ from .ground import (
     ThreeVal,
     _admissible_cached,
     admissible,
-    colex_key,
     json_indices,
 )
 
@@ -242,13 +241,35 @@ def branch_walk(family: Family, f: Coloring,
     if f.arity != 2 or f.colors > 2:
         raise ContractError("branch walk needs a 2-coloring of pairs")
     domain = family.indices if domain is None else tuple(sorted(domain))
+    pivots, colors, _ = _branch_levels(f, domain)
+    if len(pivots) < 2:
+        raise DegenerateError("family too small for a branch walk")
+    return BranchResult(family, tuple(pivots), tuple(colors), domain)
+
+
+def _branch_levels(f: Coloring, domain: tuple[int, ...]
+                   ) -> tuple[list[int], list[int],
+                              tuple[list[int], list[int], Sequence[int]]]:
+    """The branch walk over a sorted domain: its pivots and colors, and the
+    classical walk's state where the two walks part.
+
+    Every index left in the content at level m is at least domain[m], so
+    the pivot is in the content exactly when it is the content's minimum,
+    which is the classical walk's pivot; both walks keep the larger class,
+    color 0 on ties.  So they share every level up to the first pivot
+    missing from the content, or up to a lone survivor, and the classical
+    walk resumes from the pivots, colors and content of those levels.
+    """
     table = f._table
-    content = domain
+    content: Sequence[int] = domain
     pivots: list[int] = []
     colors: list[int] = []
+    shared: Optional[int] = None    # the number of levels the walks share
     for m, pivot in enumerate(domain):
-        if pivot in content:
+        if content[0] == pivot:
             pivots.append(pivot)
+        elif shared is None:
+            shared, pool = m, content
         zero: list[int] = []
         one: list[int] = []
         try:
@@ -279,9 +300,10 @@ def branch_walk(family: Family, f: Coloring,
                 raise
             pivots.append(last)
             break
-    if len(pivots) < 2:
-        raise DegenerateError("family too small for a branch walk")
-    return BranchResult(family, tuple(pivots), tuple(colors), domain)
+    if shared is None:
+        # the walks never part: the classical walk is left with the last pivot
+        shared, pool = max(len(pivots) - 1, 0), pivots[-1:]
+    return pivots, colors, (pivots[:shared], colors[:shared], pool)
 
 
 def extract_homogeneous(br: BranchResult, f: Coloring) -> tuple[Subfamily, int]:
@@ -303,17 +325,18 @@ def extract_homogeneous(br: BranchResult, f: Coloring) -> tuple[Subfamily, int]:
     return Subfamily(br.family, chosen), color
 
 
-def _classical_pivot_walk(family: Family, f: Coloring,
-                          domain: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+def _classical_pivot_walk(family: Family, f: Coloring, domain: tuple[int, ...],
+                          start: Optional[tuple[list[int], list[int], Sequence[int]]]
+                          = None) -> tuple[tuple[int, ...], int]:
     """Minimum-pivot construction: split the rest, keep the larger class.
 
     Collects at least floor(log2 |domain|) + 1 pivots for every coloring,
-    which the tree walk cannot promise once a level loses its pivot.
+    which the tree walk cannot promise once a level loses its pivot.  The
+    walk starts afresh, or resumes from the pivots, colors and pool of the
+    levels it shares with the branch walk (`_branch_levels`).
     """
     table = f._table
-    pool = sorted(domain)
-    pivots: list[int] = []
-    colors: list[int] = []
+    pivots, colors, pool = ([], [], sorted(domain)) if start is None else start
     while pool:
         pivot = pool[0]
         pivots.append(pivot)
@@ -378,63 +401,97 @@ def _exhaustive_mono(family: Family, f: Coloring, domain: tuple[int, ...],
     admissible are closed under subsets too, so a branch whose every set lies
     inside one is cut.  Canonical order (size, then colex) breaks size ties.
     Only callable on small domains.
+
+    Index sets are int masks with bit i for index i, so among sets of one
+    size colex order is the masks' int order: the highest differing bit
+    decides.  Each face t, an (r-1)-set, gets one mask per color of the
+    domain indices k above t whose entry t + (k,) has that color, and one of
+    those whose entry is missing, built the first time t is used; narrowing
+    the joinable indices is then one AND per face.
     """
     if 2 ** len(domain) > EXHAUSTIVE_CAP:
         return None
     r = f.arity
     table = f._table
+    missing = f.colors      # the slot of a face's missing entries
     floor = max(r, p.min_size) if require_admissible else r
+    ordered = sorted(domain)
+    if len(set(ordered)) < len(ordered):
+        # the masks would merge a repeated index; the domain is an index set
+        raise StructuralError("indices must be strictly increasing")
+    bits = [1 << i for i in ordered]
     best: Optional[tuple[tuple[int, ...], int]] = None
-    best_key: Optional[tuple[int, tuple[int, ...]]] = None
+    best_key: Optional[tuple[int, int]] = None
     target = floor      # the size a set must reach to be worth growing
-    verdicts: dict[tuple[int, ...], bool] = {}
+    verdicts: dict[int, bool] = {}
+    faces: dict[tuple[int, ...], list[int]] = {}
 
-    def is_admissible(indices: tuple[int, ...]) -> bool:
-        try:
-            return verdicts[indices]
-        except KeyError:
+    def is_admissible(chosen: tuple[int, ...], mask: int, joinable: int = 0) -> bool:
+        """Whether chosen (of mask `mask`) and the joinable indices make an
+        admissible set."""
+        ok = verdicts.get(mask | joinable)
+        if ok is None:
             # every probe meets the size gate, so a miss still checks the depth
-            ok = verdicts[indices] = _admissible_cached(family, indices, p) is TRUE
-            return ok
+            indices = chosen + tuple(itertools.compress(ordered,
+                                                        map(joinable.__and__, bits)))
+            ok = verdicts[mask | joinable] = \
+                _admissible_cached(family, indices, p) is TRUE
+        return ok
 
-    def grow(chosen: tuple[int, ...], color: Optional[int],
-             joinable: list[int]) -> None:
+    def color_masks(t: tuple[int, ...]) -> list[int]:
+        masks = faces[t] = [0] * (missing + 1)
+        top = t[-1] if t else 0
+        for k in ordered:
+            if k > top:     # so t + (k,) is a sorted key
+                masks[table.get(t + (k,), missing)] |= 1 << k
+        return masks
+
+    def grow(chosen: tuple[int, ...], mask: int, color: Optional[int],
+             joinable: int) -> None:
         nonlocal best, best_key, target
         size = len(chosen)
         if size >= floor:
-            key = (-size, colex_key(chosen))
+            key = (-size, mask)
             if (best_key is None or key < best_key) and \
-                    (not require_admissible or is_admissible(chosen)):
+                    (not require_admissible or is_admissible(chosen, mask)):
                 best, best_key, target = (chosen, color), key, size
-        if size + len(joinable) < target or (
+        if size + joinable.bit_count() < target or (
                 require_admissible and joinable and
-                not is_admissible(chosen + tuple(joinable))):
+                not is_admissible(chosen, mask, joinable)):
             return
-        for pos, j in enumerate(joinable):
-            rest = joinable[pos + 1:]
-            if size + 1 + len(rest) < target:
+        # past the arity, the faces of chosen + (j,) that leave j out were
+        # used when `joinable` was narrowed; the others are a base plus j
+        bases = list(itertools.combinations(chosen, r - 2)) if 1 < r <= size else ()
+        rest = joinable
+        while rest:
+            low = rest & -rest
+            rest ^= low         # the joinable indices above j
+            if size + 1 + rest.bit_count() < target:
                 break
+            j = low.bit_length() - 1
             grown = chosen + (j,)
-            if len(grown) < r:
-                grow(grown, None, rest)
+            if size + 1 < r:
+                grow(grown, mask | low, None, rest)
                 continue
-            if len(grown) == r:
+            if size + 1 == r:
                 c = f.of(grown)
-                faces = list(itertools.combinations(grown, r - 1))
+                through = itertools.combinations(grown, r - 1)
             else:
-                # faces without j were checked when `joinable` was filtered
                 c = color
-                faces = [t + (j,) for t in itertools.combinations(chosen, r - 2)] \
-                    if r > 1 else []
-            for t in faces:
-                # every k in rest is above t, so t + (k,) is a sorted key
-                try:
-                    rest = [k for k in rest if table[t + (k,)] == c]
-                except KeyError:    # f.of raises the missing-entry error
-                    rest = [k for k in rest if f.of(t + (k,)) == c]
-            grow(grown, c, rest)
+                through = [t + (j,) for t in bases]
+            narrowed = rest
+            for t in through:
+                masks = faces.get(t) or color_masks(t)
+                gap = narrowed & masks[missing]
+                if gap:     # f.of raises at the lowest missing entry
+                    f.of(t + ((gap & -gap).bit_length() - 1,))
+                narrowed &= masks[c]
+            # a set that cannot reach the target can neither be the best nor
+            # grow into it, so it is not visited
+            if size + 1 + narrowed.bit_count() >= target:
+                grow(grown, mask | low, c, narrowed)
 
-    grow((), None, sorted(domain))
+    grow((), 0, None, sum(bits))
     return best
 
 
@@ -449,6 +506,9 @@ def _scan(family: Family, f: Coloring, domain: tuple[int, ...],
 #: the pair solver runs the exhaustive upgrade on domains of at most 12 indices
 _PAIR_SCAN_CAP = 4096
 
+#: the pair solver's route order, its last tie-break between candidates
+_ROUTE_RANK = {"branch": 0, "exhaustive": 1, "classical": 2}
+
 
 def _pair_candidates(family: Family, f: Coloring, p: LargenessParams,
                      domain: tuple[int, ...]
@@ -457,16 +517,16 @@ def _pair_candidates(family: Family, f: Coloring, p: LargenessParams,
     more, in route order: branch walk, exhaustive upgrade (when it found an
     admissible set), classical net."""
     candidates: list[tuple[tuple[int, ...], int, str]] = []
-    try:
-        chosen, color = extract_homogeneous(branch_walk(family, f, domain), f)
+    pivots, colors, shared = _branch_levels(f, domain)
+    if len(pivots) >= 2:
+        chosen, color = extract_homogeneous(
+            BranchResult(family, tuple(pivots), tuple(colors), domain), f)
         candidates.append((chosen.indices, color, "branch"))
-    except DegenerateError:
-        pass
     if 2 ** len(domain) <= _PAIR_SCAN_CAP:
         got = _exhaustive_mono(family, f, domain, p, require_admissible=True)
         if got is not None:
             candidates.append((got[0], got[1], "exhaustive"))
-    chosen, color = _classical_pivot_walk(family, f, domain)
+    chosen, color = _classical_pivot_walk(family, f, domain, shared)
     candidates.append((chosen, color, "classical"))
     return candidates
 
@@ -488,25 +548,31 @@ def _best_pair(family: Family, f: Coloring, p: LargenessParams,
     """The verified best candidate.
 
     Candidates are ranked by: meets the size guarantee, then admissible, then
-    route order (branch walk, exhaustive, classical).
+    route order (branch walk, exhaustive, classical).  Admissibility is asked
+    only as far as the ranking needs it: of the candidates that share the
+    best size rank, in route order, until one is admissible, and at most
+    once per distinct candidate.
     """
     bound = pair_size_guarantee(len(domain))
-    route_rank = {"branch": 0, "exhaustive": 1, "classical": 2}
-    # one verdict per distinct candidate; the indices are the solver's own,
-    # drawn in increasing order from family.indices
+    ranked = sorted(candidates, key=lambda cand: (len(cand[0]) < bound,
+                                                   _ROUTE_RANK[cand[2]]))
+    best = ranked[0]
+    # the indices are the solver's own, drawn in increasing order from
+    # family.indices
     verdicts: dict[tuple[int, ...], tuple[Subfamily, ThreeVal]] = {}
-    for indices, _, _ in candidates:
-        if indices not in verdicts:
-            sub = Subfamily._trusted(family, indices)
-            verdicts[indices] = sub, admissible(sub, p)
-
-    def rank(cand: tuple[tuple[int, ...], int, str]):
-        indices, _, route = cand
-        return (0 if len(indices) >= bound else 1,
-                0 if verdicts[indices][1] is TRUE else 1, route_rank[route])
-
-    indices, color, route = min(candidates, key=rank)
-    if not _verify_mono(f, indices, color):
+    for cand in ranked:
+        if (len(cand[0]) < bound) is not (len(best[0]) < bound):
+            break
+        if cand[0] not in verdicts:
+            sub = Subfamily._trusted(family, cand[0])
+            verdicts[cand[0]] = sub, admissible(sub, p)
+        if verdicts[cand[0]][1] is TRUE:
+            best = cand
+            break
+    indices, color, route = best
+    # the candidates are sorted, and building them read each of their pairs
+    pairs = list(itertools.combinations(indices, 2))
+    if not pairs or countOf(map(f._table.get, pairs), color) != len(pairs):
         raise InternalCheckError("pair solver produced a non-monochromatic set")
     sub, verdict = verdicts[indices]
     return PartitionResult(sub, color, verdict, route)

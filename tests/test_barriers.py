@@ -202,6 +202,30 @@ class TestRamseyViaNw:
             agreements += 1
         assert agreements >= 4
 
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_sets_below_the_arity_do_not_count(self, arity):
+        # a set with fewer indices than the arity holds no n-set, so it is not
+        # homogeneous; with min_size below the arity such a set was answered,
+        # under the last part's color, for every arity-3 coloring here
+        family = Family.of(4, [{1, 2}, {2, 3}, {3, 4}, {1, 4}, {1, 3}])
+        keys = list(itertools.combinations(family.indices, arity))
+        rng = random.Random(24)
+        answered = 0
+        for min_size in range(1, arity + 1):
+            p = LargenessParams(d=1, min_size=min_size)
+            for _ in range(40):
+                f = Coloring(arity, 2, {c: rng.randrange(2) for c in keys})
+                got = ramsey_via_nw(family, f, p)
+                found = [(b, c) for b, c in
+                         oracle.brute_homogeneous(family, f, arity, 2, min_size)
+                         if admissible(Subfamily(family, b), p) is TRUE]
+                if got is None:
+                    assert found == []
+                else:
+                    assert (got[0].indices, got[1]) in found
+                    answered += 1
+        assert answered
+
     def test_pigeonhole_arity_one(self, eight5, p_grid):
         f = Coloring(1, 2, {(i,): i % 2 for i in range(1, 9)})
         got = ramsey_via_nw(eight5, f, p_grid)

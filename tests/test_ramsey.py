@@ -257,6 +257,17 @@ class TestExhaustiveGrowth:
                                         require) == \
                     reference(twelve6.indices, require)
 
+    @pytest.mark.parametrize("domain", [(1, 1, 2, 3, 4, 5), (2, 3, 3, 4, 5, 6, 7)])
+    def test_a_repeated_index_is_refused(self, twelve6, p_pairs, domain):
+        # an index set is the scan's domain in both modes, and a public
+        # reduction that falls back to the scan passes its domain on
+        f = random_coloring(12, 2, 2, random.Random(3))
+        for require in (True, False):
+            with pytest.raises(StructuralError, match="strictly increasing"):
+                _exhaustive_mono(twelve6, f, domain, p_pairs, require)
+        with pytest.raises(StructuralError, match="strictly increasing"):
+            merge_colors_solve(twelve6, f, lambda domain, g: None, p_pairs, domain)
+
     def test_depth_at_universe_size_is_refused(self, twelve6):
         f = constant_coloring(12, 2, 1, colors=2)
         p = LargenessParams(d=6, min_size=3)

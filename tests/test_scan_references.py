@@ -235,12 +235,9 @@ def reference_dense_part(part, family, p, domain):
 
 
 def dense_part(part, family, p, domain):
-    """The engine's density and fg scans of one part, in reference_dense_part's shape."""
-    counter = barriers._density_counterexample(
-        [barriers._mask(s) for s in part], family, p, domain)
-    if counter is not None:
-        return counter, None
-    return None, barriers._fg_search(part, family, p, domain)
+    """The engine's one pass over a part, density test and fg search at once."""
+    return barriers._dense_pass(part, [barriers._mask(s) for s in part], family, p,
+                                domain)
 
 
 def reference_nw_homogenize(T, parts, p):
@@ -283,6 +280,8 @@ def reference_nw_homogenize(T, parts, p):
 
 def reference_ramsey_via_nw(family, f, p):
     n, k = f.arity, f.colors
+    if p.min_size < n:  # a set below the arity would be homogeneous vacuously
+        p = LargenessParams(p.d, n, p.search_bound)
     stems = [tuple(c) for c in itertools.combinations(family.indices, n)]
     T = FiniteSetFamily.of(family, stems)
     parts = [[s for s in stems if f.of(s) == color] for color in range(k)]
