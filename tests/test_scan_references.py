@@ -806,6 +806,12 @@ def colored_families(draw, arities=(2,), max_colors=2):
     return family, Coloring(arity, colors, table), p
 
 
+def split_as_tuples(content, pivot, f):
+    """`ramsey._split` with its two parts as tuples."""
+    zero, one = ramsey._split(content, pivot, f)
+    return tuple(zero), tuple(one)
+
+
 def with_reference_split(fn, *args):
     """What fn gives when the pivot tree splits through `reference_split`."""
     with mock.patch.object(ramsey, "_split", reference_split):
@@ -892,11 +898,12 @@ class TestPairWalksReference:
     @settings(max_examples=200, deadline=None)
     @given(colored_families(), st.data())
     def test_walks_match_the_split_through_of(self, case, data):
-        family, f, _ = case
+        family, f, p = case
         n = len(family)
         domain = index_sets(n, data.draw)
         for pivot in domain:
-            assert outcome(ramsey._split, domain, pivot, f) == \
+            # the two parts may be lists: same elements, same order, same error
+            assert outcome(split_as_tuples, domain, pivot, f) == \
                 outcome(reference_split, domain, pivot, f)
         for args in ((family, f), (family, f, domain)):
             assert outcome(branch_walk, *args) == \
@@ -904,6 +911,12 @@ class TestPairWalksReference:
         if domain:  # its one caller passes two indices or more
             assert outcome(ramsey._classical_pivot_walk, family, f, domain) == \
                 with_reference_split(ramsey._classical_pivot_walk, family, f, domain)
+        if len(domain) >= 2:    # their one caller passes two indices or more
+            assert outcome(ramsey._pair_candidates, family, f, p, domain) == \
+                with_reference_split(ramsey._pair_candidates, family, f, p, domain)
+        for args in ((family, f, p), (family, f, p, domain)):
+            assert outcome(ramsey._solve_pairs_2, *args) == \
+                with_reference_split(ramsey._solve_pairs_2, *args)
         for depth in range(min(n, 5) + 1):
             assert outcome(build_partition_tree, family, f, depth) == \
                 with_reference_split(build_partition_tree, family, f, depth)
