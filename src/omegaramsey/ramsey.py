@@ -135,10 +135,15 @@ class Coloring:
     def from_json(cls, data: dict, family: Family) -> "Coloring":
         if not isinstance(data, dict):
             raise StructuralError("coloring JSON must be an object")
+        n = len(family)
         try:
             entries = {}
             for k, v in data["entries"]:
                 key = tuple(sorted(json_indices(k)))
+                for i in key:
+                    if type(i) is not int or not 1 <= i <= n:
+                        raise StructuralError(
+                            f"coloring key {key} holds {i!r}, not an index 1..{n}")
                 if key in entries:
                     raise StructuralError(f"coloring key {key} is given twice")
                 entries[key] = v
@@ -187,19 +192,28 @@ class BranchResult(Record):
         object.__setattr__(self, "domain", domain)
 
 
-def _split(content: tuple[int, ...], pivot: int,
-           f: Coloring) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _domain(family: Family, domain: Optional[Sequence[int]]) -> tuple[int, ...]:
+    """The sorted index domain: the whole family, or a given index set of it."""
+    return family.indices if domain is None else \
+        Subfamily(family, tuple(sorted(domain))).indices
+
+
+def _split(content: Sequence[int], pivot: int,
+           f: Coloring) -> tuple[list[int], list[int]]:
+    """The pivot split: the indices of `content` above `pivot` of color 0
+    against it, and the others.  A missing entry raises `f.of`'s error at
+    the first index that reads it."""
     table = f._table
-    zero, one = [], []
-    for n in content:
-        if n <= pivot:
-            continue
-        try:
-            color = table[pivot, n]     # pivot < n, so the key is sorted
-        except KeyError:
-            color = f.of((pivot, n))    # raises the missing-entry error
-        (zero if color == 0 else one).append(n)
-    return tuple(zero), tuple(one)
+    zero: list[int] = []
+    one: list[int] = []
+    try:
+        for n in content:
+            if n > pivot:       # so the key (pivot, n) is sorted
+                (one if table[pivot, n] else zero).append(n)
+    except KeyError:
+        f.of((pivot, n))        # raises the missing-entry error
+        raise
+    return zero, one
 
 
 def build_partition_tree(family: Family, f: Coloring, depth: int) -> PartitionTree:
@@ -221,7 +235,7 @@ def build_partition_tree(family: Family, f: Coloring, depth: int) -> PartitionTr
         for path, content in frontier:
             zero, one = _split(content, m, f)
             for bit, child in ((0, zero), (1, one)):
-                entry = (path + (bit,), child)
+                entry = (path + (bit,), tuple(child))
                 nodes.append(entry)
                 next_frontier.append(entry)
         frontier = next_frontier
@@ -240,7 +254,7 @@ def branch_walk(family: Family, f: Coloring,
     """
     if f.arity != 2 or f.colors > 2:
         raise ContractError("branch walk needs a 2-coloring of pairs")
-    domain = family.indices if domain is None else tuple(sorted(domain))
+    domain = _domain(family, domain)
     pivots, colors, _ = _branch_levels(f, domain)
     if len(pivots) < 2:
         raise DegenerateError("family too small for a branch walk")
@@ -260,7 +274,6 @@ def _branch_levels(f: Coloring, domain: tuple[int, ...]
     missing from the content, or up to a lone survivor, and the classical
     walk resumes from the pivots, colors and content of those levels.
     """
-    table = f._table
     content: Sequence[int] = domain
     pivots: list[int] = []
     colors: list[int] = []
@@ -270,15 +283,7 @@ def _branch_levels(f: Coloring, domain: tuple[int, ...]
             pivots.append(pivot)
         elif shared is None:
             shared, pool = m, content
-        zero: list[int] = []
-        one: list[int] = []
-        try:
-            for n in content:
-                if n > pivot:       # so the key (pivot, n) is sorted
-                    (one if table[pivot, n] else zero).append(n)
-        except KeyError:
-            _split(content, pivot, f)   # raises the missing-entry error
-            raise
+        zero, one = _split(content, pivot, f)
         if len(one) > len(zero):
             colors.append(1)
             content = one
@@ -293,7 +298,7 @@ def _branch_levels(f: Coloring, domain: tuple[int, ...]
             last = content[0]
             tail = domain[m + 1:domain.index(last, m + 1)]
             try:
-                colors.extend([table[q, last] for q in tail])
+                colors.extend([f._table[q, last] for q in tail])
             except KeyError:
                 for q in tail:
                     f.of((q, last))     # raises the missing-entry error
@@ -312,12 +317,7 @@ def extract_homogeneous(br: BranchResult, f: Coloring) -> tuple[Subfamily, int]:
     The result is re-verified monochromatic; a failure here is a bug, not a
     data condition.
     """
-    *colored, last = br.pivots
-    by_color: dict[int, list[int]] = {0: [], 1: []}
-    for pivot in colored:
-        by_color[br.colors[br.domain.index(pivot)]].append(pivot)
-    color = 0 if len(by_color[0]) >= len(by_color[1]) else 1
-    chosen = tuple(by_color[color]) + (last,)
+    chosen, color = _majority(br.pivots, br.colors, br.domain)
     for pair in itertools.combinations(chosen, 2):
         if f.of(pair) != color:
             raise InternalCheckError(
@@ -325,7 +325,23 @@ def extract_homogeneous(br: BranchResult, f: Coloring) -> tuple[Subfamily, int]:
     return Subfamily(br.family, chosen), color
 
 
-def _classical_pivot_walk(family: Family, f: Coloring, domain: tuple[int, ...],
+def _majority(pivots: Sequence[int], colors: Sequence[int],
+              levels: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The larger color class of the colored pivots, color 0 on ties, plus
+    the last pivot, and that color.
+
+    Level m of the walk pivots on levels[m] and keeps colors[m], so each
+    pivot has the color of its own level; the last pivot's is not read.
+    """
+    *colored, last = pivots
+    by_color: dict[int, list[int]] = {0: [], 1: []}
+    for pivot in colored:
+        by_color[colors[levels.index(pivot)]].append(pivot)
+    color = 0 if len(by_color[0]) >= len(by_color[1]) else 1
+    return tuple(by_color[color]) + (last,), color
+
+
+def _classical_pivot_walk(f: Coloring, domain: tuple[int, ...],
                           start: Optional[tuple[list[int], list[int], Sequence[int]]]
                           = None) -> tuple[tuple[int, ...], int]:
     """Minimum-pivot construction: split the rest, keep the larger class.
@@ -335,34 +351,21 @@ def _classical_pivot_walk(family: Family, f: Coloring, domain: tuple[int, ...],
     walk starts afresh, or resumes from the pivots, colors and pool of the
     levels it shares with the branch walk (`_branch_levels`).
     """
-    table = f._table
     pivots, colors, pool = ([], [], sorted(domain)) if start is None else start
     while pool:
         pivot = pool[0]
         pivots.append(pivot)
         if len(pool) == 1:
             break
-        zero: list[int] = []
-        one: list[int] = []
-        try:
-            for n in pool:
-                if n > pivot:       # so the key (pivot, n) is sorted
-                    (one if table[pivot, n] else zero).append(n)
-        except KeyError:
-            _split(pool, pivot, f)      # raises the missing-entry error
-            raise
+        zero, one = _split(pool, pivot, f)
         if len(one) > len(zero):
             colors.append(1)
             pool = one
         else:
             colors.append(0)
             pool = zero
-    by_color: dict[int, list[int]] = {0: [], 1: []}
-    for pivot, c in zip(pivots, colors):
-        by_color[c].append(pivot)
-    color = 0 if len(by_color[0]) >= len(by_color[1]) else 1
-    chosen = tuple(by_color[color]) + (pivots[-1],)
-    return chosen, color
+    # level m pivots on the least index of its pool, which is pivots[m]
+    return _majority(pivots, colors, pivots)
 
 
 def _verify_mono(f: Coloring, indices: tuple[int, ...], color: int) -> bool:
@@ -519,14 +522,13 @@ def _pair_candidates(family: Family, f: Coloring, p: LargenessParams,
     candidates: list[tuple[tuple[int, ...], int, str]] = []
     pivots, colors, shared = _branch_levels(f, domain)
     if len(pivots) >= 2:
-        chosen, color = extract_homogeneous(
-            BranchResult(family, tuple(pivots), tuple(colors), domain), f)
-        candidates.append((chosen.indices, color, "branch"))
+        chosen, color = _majority(pivots, colors, domain)
+        candidates.append((chosen, color, "branch"))
     if 2 ** len(domain) <= _PAIR_SCAN_CAP:
         got = _exhaustive_mono(family, f, domain, p, require_admissible=True)
         if got is not None:
             candidates.append((got[0], got[1], "exhaustive"))
-    chosen, color = _classical_pivot_walk(family, f, domain, shared)
+    chosen, color = _classical_pivot_walk(f, domain, shared)
     candidates.append((chosen, color, "classical"))
     return candidates
 
@@ -535,7 +537,7 @@ def _solve_pairs_2(family: Family, f: Coloring, p: LargenessParams,
                    domain: Optional[tuple[int, ...]] = None
                    ) -> Optional[PartitionResult]:
     """The 2-color pair solver: branch walk, exhaustive upgrade, classical net."""
-    domain = family.indices if domain is None else tuple(sorted(domain))
+    domain = _domain(family, domain)
     if len(domain) < 2:
         return None
     return _best_pair(family, f, p, domain, _pair_candidates(family, f, p, domain))
@@ -592,7 +594,7 @@ def merge_colors_solve(family: Family, f: Coloring, base2solver: Solver,
     """
     if f.arity != 2:
         raise ContractError("color merging works on pair colorings")
-    domain = family.indices if domain is None else tuple(sorted(domain))
+    domain = _domain(family, domain)
     # the induction can die on a residual domain that happens to lack an
     # admissible monochromatic set; the direct scan settles solvability
     return _merge_colors_inner(family, f, base2solver, p, domain) or \
@@ -651,7 +653,7 @@ def project_solve(family: Family, f: Coloring, nsolver: Solver, n: int,
         raise ContractError("projection needs n > 2")
     if f.arity != 2:
         raise ContractError("projection starts from a pair coloring")
-    domain = family.indices if domain is None else tuple(sorted(domain))
+    domain = _domain(family, domain)
     g = Coloring(n, f.colors, {combo: f.of(combo[:2])
                                for combo in itertools.combinations(domain, n)})
     got = nsolver(domain, g)
@@ -675,7 +677,7 @@ def stepup_solve(family: Family, f: Coloring, nsolver: Solver, two,
     When the play faults or no color class is admissible, a direct
     exhaustive scan answers instead.
     """
-    domain = family.indices if domain is None else tuple(sorted(domain))
+    domain = _domain(family, domain)
     # a faulted play or an inadmissible color class still leaves the instance
     # solvable at desk scale; the exhaustive net settles it either way
     return _stepup_play(family, f, nsolver, two, innings, p, domain) or \

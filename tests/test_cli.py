@@ -89,6 +89,12 @@ TREE4_TRUE_KEY = (TREE4_ENTRIES % (b"2", b"2")).replace(b"[[1, 2], 0]",
 #: tree4's coloring with the set {1, 2} given again, in another color
 TREE4_REPEATED_KEY = (TREE4_ENTRIES % (b"2", b"2")).replace(b"]]}",
                                                            b"], [[2, 1], 1]]}")
+#: tree4's coloring with one more entry, on a pair outside the family
+TREE4_OUTSIDE_KEY = (TREE4_ENTRIES % (b"2", b"2")).replace(b"]]}",
+                                                          b"], [[0, 99], 1]]}")
+#: tree4's coloring with its first key written in floats
+TREE4_FLOAT_KEY = (TREE4_ENTRIES % (b"2", b"2")).replace(b"[[1, 2], 0]",
+                                                        b"[[1.0, 2.0], 0]")
 #: the subcommands that read a coloring file, on tree4's family
 COLORING_READERS = [
     SOLVE,
@@ -181,6 +187,9 @@ class TestMalformedInput:
         *[(TREE4_TRUE_KEY, argv) for argv in COLORING_READERS],
         # a set given twice: the later color used to win silently
         *[(TREE4_REPEATED_KEY, argv) for argv in COLORING_READERS],
+        # every key is an index set of the family
+        *[(TREE4_OUTSIDE_KEY, argv) for argv in COLORING_READERS],
+        *[(TREE4_FLOAT_KEY, argv) for argv in COLORING_READERS],
     ], ids=["members-not-a-list", "nested-sub", "directory-as-family", "not-utf8",
             "tree-build-d0", "mathias-extends-d0", "region-sets-not-a-list",
             "basic-without-reservoir", "stem-not-a-list", "partition-part-not-a-list",
@@ -190,7 +199,9 @@ class TestMalformedInput:
             "true-sub-index", "true-basic-stem", "true-explicit-set-index",
             "true-fg-stem", "true-partition-stem", "true-key-solve",
             "true-key-tree", "true-key-oracle", "repeated-key-solve",
-            "repeated-key-tree", "repeated-key-oracle"])
+            "repeated-key-tree", "repeated-key-oracle", "outside-key-solve",
+            "outside-key-tree", "outside-key-oracle", "float-key-solve",
+            "float-key-tree", "float-key-oracle"])
     def test_one_error_line_and_exit_one(self, tmp_path, content, argv):
         bad = tmp_path
         if content is not None:

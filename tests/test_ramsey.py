@@ -214,6 +214,33 @@ class TestDomainWalk:
         f = random_coloring(64, 2, 2, random.Random(4))
         assert branch_walk(big64, f) == branch_walk(big64, f, big64.indices)
 
+    @pytest.mark.parametrize("domain, message", [
+        ((1, 1, 2, 3), "indices must be strictly increasing"),
+        ((1, 2, 2, 3, 4, 5, 6, 7), "indices must be strictly increasing"),
+        ((3, 2, 3), "indices must be strictly increasing"),
+        ((0, 1, 2, 3), "index 0 out of range 1..12"),
+        ((1, 2, 13), "index 13 out of range 1..12"),
+    ])
+    def test_a_given_domain_is_an_index_set_of_the_family(self, twelve6, p_pairs,
+                                                          domain, message):
+        # the sorted domain must be a Subfamily's indices; a repeated index
+        # used to be walked twice, or read as a missing pair (2, 2)
+        pairs = random_coloring(12, 2, 2, random.Random(5))
+        many = random_coloring(12, 2, 3, random.Random(5))
+        solver = exhaustive_solver(twelve6, p_pairs)
+        calls = [
+            lambda: branch_walk(twelve6, pairs, domain),
+            lambda: _solve_pairs_2(twelve6, pairs, p_pairs, domain),
+            lambda: merge_colors_solve(twelve6, many, solver, p_pairs, domain),
+            lambda: project_solve(twelve6, pairs, solver, 3, p_pairs, domain),
+            lambda: stepup_solve(twelve6, constant_coloring(12, 3, 0), solver,
+                                 GreedyTwo(p_pairs), 8, p_pairs, domain),
+        ]
+        for call in calls:
+            with pytest.raises(StructuralError) as err:
+                call()
+            assert str(err.value) == message
+
 
 def growth_reference(family, f, p):
     """Largest monochromatic subset of a domain, from the oracle's list:
@@ -819,6 +846,24 @@ class TestColoringJson:
     def test_color_range_checked(self):
         with pytest.raises(StructuralError):
             Coloring(2, 2, {(1, 2): 2})
+
+    @pytest.mark.parametrize("first, extra, message", [
+        ([1, 2], [[0, 99], 1], "coloring key (0, 99) holds 0, not an index 1..4"),
+        ([1, 2], [[3, 5], 0], "coloring key (3, 5) holds 5, not an index 1..4"),
+        ([1, 2], [["a", "b"], 0], "coloring key ('a', 'b') holds 'a', not an index 1..4"),
+        ([1.0, 2.0], None, "coloring key (1.0, 2.0) holds 1.0, not an index 1..4"),
+        ([2, 1.0], None, "coloring key (1.0, 2) holds 1.0, not an index 1..4"),
+    ])
+    def test_every_key_is_an_index_set_of_the_family(self, tree4, first, extra,
+                                                     message):
+        # a total coloring with one more entry, or with its first key rewritten
+        data = tree_coloring().to_json()
+        data["entries"][0][0] = first
+        if extra is not None:
+            data["entries"].append(extra)
+        with pytest.raises(StructuralError) as err:
+            Coloring.from_json(data, tree4)
+        assert str(err.value) == message
 
 
 class TestScaleGuard:

@@ -818,6 +818,13 @@ def with_reference_split(fn, *args):
         return outcome(fn, *args)
 
 
+def reference_split_calls(fn, *args):
+    """How often fn splits when the pivot tree splits through `reference_split`."""
+    with mock.patch.object(ramsey, "_split", wraps=reference_split) as split:
+        outcome(fn, *args)
+    return split.call_count
+
+
 class TestBarrierScansReference:
     @settings(max_examples=200, deadline=None)
     @given(stem_cases())
@@ -909,8 +916,14 @@ class TestPairWalksReference:
             assert outcome(branch_walk, *args) == \
                 with_reference_split(branch_walk, *args)
         if domain:  # its one caller passes two indices or more
-            assert outcome(ramsey._classical_pivot_walk, family, f, domain) == \
-                with_reference_split(ramsey._classical_pivot_walk, family, f, domain)
+            assert outcome(ramsey._classical_pivot_walk, f, domain) == \
+                with_reference_split(ramsey._classical_pivot_walk, f, domain)
+        # the walks split through the patched `_split`, not a copy of it:
+        # every walk of two indices or more splits at its first level
+        assert reference_split_calls(branch_walk, family, f) > 0
+        if len(domain) >= 2:
+            assert reference_split_calls(branch_walk, family, f, domain) > 0
+            assert reference_split_calls(ramsey._classical_pivot_walk, f, domain) > 0
         if len(domain) >= 2:    # their one caller passes two indices or more
             assert outcome(ramsey._pair_candidates, family, f, p, domain) == \
                 with_reference_split(ramsey._pair_candidates, family, f, p, domain)
@@ -966,7 +979,7 @@ class TestPairWalksReference:
         del table[missing]
         f = Coloring(2, 2, table)
         calls = [(branch_walk, twelve6, f),
-                 (ramsey._classical_pivot_walk, twelve6, f, twelve6.indices),
+                 (ramsey._classical_pivot_walk, f, twelve6.indices),
                  (build_partition_tree, twelve6, f, 8)]
         for fn, *args in calls:
             got = outcome(fn, *args)
@@ -1016,7 +1029,7 @@ class TestPairSolverReference:
                 assert outcome(extract_homogeneous, got, f) == \
                     outcome(reference_extract_homogeneous, got, f)
         if domain:  # its one caller passes two indices or more
-            assert outcome(ramsey._classical_pivot_walk, family, f, domain) == \
+            assert outcome(ramsey._classical_pivot_walk, f, domain) == \
                 outcome(reference_classical_pivot_walk, family, f, domain)
         # the candidates' one caller passes two indices or more
         candidates = len(domain) >= 2 and \
