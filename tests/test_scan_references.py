@@ -921,10 +921,9 @@ class TestPairWalksReference:
         # the walks split through the patched `_split`, not a copy of it:
         # every walk of two indices or more splits at its first level
         assert reference_split_calls(branch_walk, family, f) > 0
-        if len(domain) >= 2:
+        if len(domain) >= 2:    # as the candidates' one caller passes
             assert reference_split_calls(branch_walk, family, f, domain) > 0
             assert reference_split_calls(ramsey._classical_pivot_walk, f, domain) > 0
-        if len(domain) >= 2:    # their one caller passes two indices or more
             assert outcome(ramsey._pair_candidates, family, f, p, domain) == \
                 with_reference_split(ramsey._pair_candidates, family, f, p, domain)
         for args in ((family, f, p), (family, f, p, domain)):
