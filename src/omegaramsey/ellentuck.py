@@ -502,7 +502,17 @@ def cr_witness(R: Region, s: Stem, B: Subfamily, p: LargenessParams,
     _require_precedes(s, B)
     if route not in ("auto", "exhaustive"):
         raise StructuralError(f"unknown cr_witness route {route!r}")
+    # exact ints only: the memo keys by ==, which would answer 3.0 or True
+    # with the entry stored for 3 or 1
+    for name, value in (("innings", innings), ("subset_cap", subset_cap)):
+        if type(value) is not int:
+            raise StructuralError(f"cr_witness {name} must be an integer, got {value!r}")
+    return _cr_witness(R, s, B, p, innings, subset_cap, route)
 
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _cr_witness(R: Region, s: Stem, B: Subfamily, p: LargenessParams,
+                innings: int, subset_cap: int, route: str) -> CrOutcome:
     got = None
     # B itself settles the trivial cases and is the best witness when it works
     if admissible(B, p) is TRUE:

@@ -25,7 +25,7 @@ from omegaramsey import (
     rejects,
     restrict,
 )
-from omegaramsey import barriers, ground
+from omegaramsey import barriers, ellentuck, ground
 from omegaramsey.ground import admissible_subsets, subsets_canonical
 
 ENGINE_MODULES = ("ground", "ellentuck", "games", "ramsey", "barriers",
@@ -58,6 +58,7 @@ class TestPolicy:
             "omegaramsey.ellentuck._all_basics_with_content",
             "omegaramsey.ellentuck._rejects",
             "omegaramsey.ellentuck._decide",
+            "omegaramsey.ellentuck._cr_witness",
             "omegaramsey.oracle._admissible_at",
             "omegaramsey.barriers._admissible_masked",
         }
@@ -96,6 +97,52 @@ class TestMaskMemo:
             memo(family, p_pairs)
         after = memo.cache_info()
         assert (after.currsize, after.hits) == (before.currsize, before.hits)
+
+
+class TestCrWitnessMemo:
+    @staticmethod
+    def grid_query(grid5):
+        # built afresh on each call: equal to, but not the same objects as,
+        # the last call's region and reservoir
+        region = BasicUnionRegion((
+            EllentuckBasic((1,), Subfamily.of(grid5, [2, 3, 4, 5])),))
+        return region, (1,), restrict(Subfamily.full(grid5), (1,))
+
+    def test_an_equal_query_is_one_hit(self, grid5, p_grid):
+        memo = ellentuck._cr_witness
+        memo.cache_clear()
+        first = cr_witness(*self.grid_query(grid5), p_grid)
+        again = cr_witness(*self.grid_query(grid5), p_grid)
+        assert again == first
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_innings_subset_cap_and_route_are_separate_entries(self, grid5, p_grid):
+        memo = ellentuck._cr_witness
+        memo.cache_clear()
+        settings = [{}, {"innings": 6}, {"subset_cap": 2}, {"route": "exhaustive"},
+                    {"innings": 6, "subset_cap": 2, "route": "exhaustive"}]
+        for kwargs in settings:
+            cr_witness(*self.grid_query(grid5), p_grid, **kwargs)
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 5, 5)
+        for kwargs in settings:
+            cr_witness(*self.grid_query(grid5), p_grid, **kwargs)
+        assert memo.cache_info().hits == 5
+
+    def test_an_error_is_not_stored(self):
+        members = [c for r in (2, 3) for c in itertools.combinations(range(1, 7), r)]
+        family = ground.Family.of(6, members[:17])
+        p = LargenessParams(d=2, min_size=18)
+        memo = ellentuck._cr_witness
+        before = memo.cache_info()
+        for _ in range(2):
+            with pytest.raises(EngineError, match="pool of 17 indices is too large"):
+                cr_witness(ExplicitRegion.empty(), (), Subfamily.full(family), p,
+                           route="exhaustive")
+        after = memo.cache_info()
+        assert after.misses == before.misses + 2
+        assert (after.hits, after.currsize) == (before.hits, before.currsize)
 
 
 class TestEviction:

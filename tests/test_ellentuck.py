@@ -2,6 +2,7 @@ import collections
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegaramsey import (
     BasicUnionRegion,
@@ -11,9 +12,11 @@ from omegaramsey import (
     EllentuckBasic,
     ExplicitRegion,
     FALSE,
+    Family,
     IntersectionRegion,
     LargenessParams,
     PredicateRegion,
+    StructuralError,
     Subfamily,
     TRUE,
     UNKNOWN,
@@ -34,6 +37,7 @@ from omegaramsey import (
 )
 from omegaramsey.ellentuck import (
     MeagerPresentation,
+    _cr_witness,
     basic_content,
     nwd_meager_report,
     region_from_json,
@@ -212,6 +216,121 @@ class TestCrWitness:
         auto = cr_witness(region, (), full_grid, p_grid, route="auto")
         fast = cr_witness(region, (), full_grid, p_grid, route="exhaustive")
         assert (auto.kind == "not_found") == (fast.kind == "not_found")
+
+
+class TestCrWitnessArguments:
+    """innings and subset_cap are exact ints, refused otherwise whatever the
+    memo holds; their ranges are not checked."""
+
+    @staticmethod
+    def query():
+        # TestCrConstructiveWitness's outside case: auto reaches the play,
+        # which takes subset_cap as a range bound
+        fam = Family.of(5, [[1, 2, 3], [1, 3, 4], [1, 2, 5], [3, 4, 5], [1, 3, 5],
+                            [2, 4, 5], [3, 4, 5], [1, 2, 5], [2, 3, 5], [3, 4, 5]])
+        region = region_from_json({"type": "basicUnion", "basics": [
+            {"stem": [1, 8], "reservoir": [9, 10]}]}, fam)
+        return region, (1,), restrict(Subfamily.full(fam), (1,)), \
+            LargenessParams(d=1, min_size=3)
+
+    @pytest.mark.parametrize("kwargs, shown", [
+        ({"subset_cap": 3.0}, "subset_cap must be an integer, got 3.0"),
+        ({"subset_cap": True}, "subset_cap must be an integer, got True"),
+        ({"innings": 4.0}, "innings must be an integer, got 4.0"),
+        ({"innings": True}, "innings must be an integer, got True"),
+        ({"innings": "4"}, "innings must be an integer, got '4'"),
+    ])
+    def test_non_integers_are_refused_cold_and_warm(self, kwargs, shown):
+        _cr_witness.cache_clear()
+        with pytest.raises(StructuralError, match=f"^cr_witness {shown}$"):
+            cr_witness(*self.query(), **kwargs)
+        assert cr_witness(*self.query(), innings=4, subset_cap=3).kind == "outside"
+        with pytest.raises(StructuralError, match=f"^cr_witness {shown}$"):
+            cr_witness(*self.query(), **kwargs)
+
+    def test_ranges_are_not_checked(self):
+        default = cr_witness(*self.query())
+        # the play takes at least min_size + 3 innings, and a stem longer than
+        # subset_cap skips the play
+        assert cr_witness(*self.query(), innings=-2) == default
+        assert cr_witness(*self.query(), subset_cap=-1) == \
+            cr_witness(*self.query(), route="exhaustive")
+
+
+@st.composite
+def duality_cases(draw):
+    """A family of 4 to 10 sets of 2 or more points covering 4 or 5 points, a
+    basic-union, explicit or predicate region over it, a stem of at most one
+    index, the family past the stem, and params."""
+    size = draw(st.integers(4, 5))
+    proper = [c for r in range(2, size)
+              for c in itertools.combinations(range(1, size + 1), r)]
+    members = draw(st.lists(st.sampled_from(proper), min_size=4, max_size=10)
+                   .filter(lambda ms: len(set().union(*ms)) == size))
+    fam = Family.of(size, members)
+    n = len(fam)
+    index_sets = st.sets(st.integers(1, n)).map(lambda s: tuple(sorted(s)))
+    kind = draw(st.sampled_from(("basics", "explicit", "predicate")))
+    if kind == "basics":
+        basics = []
+        for stem, reservoir in draw(st.lists(st.tuples(index_sets, index_sets),
+                                             max_size=3)):
+            stem = stem[:2]
+            top = max(stem, default=0)
+            basics.append(EllentuckBasic(
+                stem, Subfamily(fam, tuple(i for i in reservoir if i > top))))
+        region = BasicUnionRegion(tuple(basics))
+    elif kind == "explicit":
+        region = ExplicitRegion(frozenset(draw(st.lists(index_sets, max_size=6))))
+    else:
+        modulus = draw(st.integers(1, 5))
+        region = PredicateRegion(lambda D: sum(D.indices) % modulus == 0,
+                                 f"sum = 0 mod {modulus}")
+    stem = draw(st.sampled_from(((), (1,), (2,))))
+    p = LargenessParams(d=1, min_size=draw(st.integers(1, 3)))
+    return region, stem, restrict(Subfamily.full(fam), stem), p
+
+
+class TestComplementDuality:
+    """cr_witness on the complement of R swaps inside and outside and keeps
+    the witness on the exhaustive route: the scan's skip and stop tests are
+    symmetric in R, and an admissible candidate's content is never empty."""
+
+    SWAP = {"inside": "outside", "outside": "inside", "not_found": "not_found"}
+
+    def assert_dual(self, region, stem, B, p):
+        # the second round is answered from the memo
+        for _ in range(2):
+            got = cr_witness(region, stem, B, p, route="exhaustive")
+            dual = cr_witness(ComplementRegion(region), stem, B, p,
+                              route="exhaustive")
+            assert (dual.kind, dual.witness) == (self.SWAP[got.kind], got.witness)
+        return got.kind
+
+    def test_grid_and_twelve(self, grid5, twelve6, p_grid, p_pairs):
+        kinds = set()
+        grid_regions = [
+            BasicUnionRegion((EllentuckBasic((1,), Subfamily.of(grid5, [2, 3, 4, 5])),)),
+            BasicUnionRegion((EllentuckBasic((), Subfamily.of(grid5, [1, 2, 3, 4])),
+                              EllentuckBasic((3,), Subfamily.of(grid5, [4, 5, 6, 7])))),
+            ExplicitRegion(frozenset([(1, 2, 3), (2, 3, 4, 5)])),
+            ALWAYS,
+        ]
+        for region in grid_regions:
+            for stem in [(), (1,), (2,), (1, 2)]:
+                B = restrict(Subfamily.full(grid5), stem)
+                kinds.add(self.assert_dual(region, stem, B, p_grid))
+        twelve_region = BasicUnionRegion((
+            EllentuckBasic((1,), Subfamily.of(twelve6, [2, 3, 4, 5, 6])),))
+        for stem in [(1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)]:
+            B = restrict(Subfamily.full(twelve6), stem)
+            kinds.add(self.assert_dual(twelve_region, stem, B, p_pairs))
+        assert {"inside", "outside"} <= kinds
+
+    @settings(max_examples=100, deadline=None)
+    @given(duality_cases())
+    def test_random_families(self, case):
+        self.assert_dual(*case)
 
 
 class TestClosureSmoke:

@@ -75,6 +75,7 @@ from omegaramsey.ellentuck import (
     _all_basics_with_content,
     _basic_content,
     _cr_constructive,
+    _cr_witness,
 )
 from omegaramsey.ground import (
     EXHAUSTIVE_CAP,
@@ -679,13 +680,26 @@ def both_orders(pool, p, descending_first):
     return ascending, admissible_subsets(pool, p, descending=True)
 
 
+def cr_cold_and_warm(region, stem, B, p, route):
+    """cr_witness's answer, held to the two-loop scan's both when the engine
+    computes it and when its memo gives it back."""
+    want = cr_outcome(reference_cr_witness, region, stem, B, p, route)
+    _cr_witness.cache_clear()
+    assert cr_outcome(cr_witness, region, stem, B, p, route) == want
+    query = (region, stem, B, p, 4, 3, route)
+    computed = outcome(cr_witness, *query)
+    hits = _cr_witness.cache_info().hits
+    assert outcome(cr_witness, *query) == computed == want[0]
+    if isinstance(computed, CrOutcome):
+        assert _cr_witness.cache_info().hits == hits + 1
+    return want[0]
+
+
 class TestCrWitnessReference:
     @settings(max_examples=300, deadline=None)
     @given(cr_cases(), st.sampled_from(("auto", "exhaustive")))
     def test_matches_the_two_loop_scan(self, case, route):
-        region, stem, B, p = case
-        assert cr_outcome(cr_witness, region, stem, B, p, route) == \
-            cr_outcome(reference_cr_witness, region, stem, B, p, route)
+        cr_cold_and_warm(*case, route)
 
     def test_seen_outcomes_on_the_grid(self, grid5, p_grid):
         # single basics [stem, C] over the grid's admissible sets, asked at
@@ -699,10 +713,7 @@ class TestCrWitnessReference:
                     stem, Subfamily(grid5, tuple(i for i in c_indices if i > top))),))
                 B = restrict(full, stem)
                 for route in ("auto", "exhaustive"):
-                    got = cr_outcome(cr_witness, region, stem, B, p_grid, route)
-                    assert got == cr_outcome(reference_cr_witness, region, stem, B,
-                                             p_grid, route)
-                    answer = got[0]
+                    answer = cr_cold_and_warm(region, stem, B, p_grid, route)
                     kinds[answer.kind, answer.witness == B] += 1
         assert {("inside", False), ("outside", True), ("outside", False)} <= set(kinds)
 
