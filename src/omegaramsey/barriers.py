@@ -161,10 +161,6 @@ class FgOutcome(Record):
 
     __slots__ = ("kind", "witness")
 
-    def __init__(self, kind: str, witness: Optional[Subfamily]) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "witness", witness)
-
 
 def fg_witness(S: FiniteSetFamily, p: LargenessParams) -> FgOutcome:
     """An admissible B whose every admissible subset starts with a stem of S.
@@ -189,11 +185,6 @@ class NwOutcome(Record):
     """kind is 'homogeneous' or 'not_found'; part is a 0-based part index."""
 
     __slots__ = ("kind", "witness", "part")
-
-    def __init__(self, kind: str, witness: Optional[Subfamily], part: Optional[int]) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "part", part)
 
 
 def _parts_met(part_masks: list[list[int]], m: int) -> set[int]:

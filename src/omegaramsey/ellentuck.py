@@ -48,7 +48,7 @@ def as_stem(indices: Iterable[int]) -> Stem:
     """Normalize an index iterable into a sorted, duplicate-free stem."""
     out = tuple(sorted(set(indices)))
     for i in out:
-        if not isinstance(i, int) or i < 1:
+        if type(i) is not int or i < 1:
             raise StructuralError(f"stem entry {i!r} is not a positive index")
     return out
 
@@ -129,9 +129,6 @@ class ExplicitRegion(Region, Record):
 
     __slots__ = ("member_sets",)
 
-    def __init__(self, member_sets: frozenset[tuple[int, ...]]) -> None:
-        object.__setattr__(self, "member_sets", member_sets)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.member_sets,) == (other.member_sets,)
@@ -156,9 +153,6 @@ class BasicUnionRegion(Region, Record):
     """A finite union of Ellentuck basics; the open sets of the engine."""
 
     __slots__ = ("basics",)
-
-    def __init__(self, basics: tuple[EllentuckBasic, ...]) -> None:
-        object.__setattr__(self, "basics", basics)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -195,9 +189,6 @@ class PredicateRegion(Region, Record):
 class UnionRegion(Region, Record):
     __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple[Region, ...]) -> None:
-        object.__setattr__(self, "parts", parts)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.parts,) == (other.parts,)
@@ -212,9 +203,6 @@ class UnionRegion(Region, Record):
 
 class IntersectionRegion(Region, Record):
     __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[Region, ...]) -> None:
-        object.__setattr__(self, "parts", parts)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -232,9 +220,6 @@ class ComplementRegion(Region, Record):
     """Complement relative to the admissible subfamilies (the ambient space)."""
 
     __slots__ = ("inner",)
-
-    def __init__(self, inner: Region) -> None:
-        object.__setattr__(self, "inner", inner)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -310,19 +295,11 @@ class DecideOutcome(Record):
 
     __slots__ = ("kind", "witness")
 
-    def __init__(self, kind: str, witness: Optional[Subfamily]) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "witness", witness)
-
 
 class CrOutcome(Record):
     """kind is 'inside', 'outside' or 'not_found'."""
 
     __slots__ = ("kind", "witness")
-
-    def __init__(self, kind: str, witness: Optional[Subfamily]) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "witness", witness)
 
 
 class NwdOutcome(Record):
@@ -330,19 +307,11 @@ class NwdOutcome(Record):
 
     __slots__ = ("kind", "witness")
 
-    def __init__(self, kind: str, witness: Optional[Subfamily]) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "witness", witness)
-
 
 class StrongRejectResult(Record):
     """The element-wise rejection filter, plus whether it stayed admissible."""
 
     __slots__ = ("subfamily", "admissible")
-
-    def __init__(self, subfamily: Subfamily, admissible: ThreeVal) -> None:
-        object.__setattr__(self, "subfamily", subfamily)
-        object.__setattr__(self, "admissible", admissible)
 
 
 def _require_precedes(s: Stem, B: Subfamily) -> None:

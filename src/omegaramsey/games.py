@@ -189,9 +189,6 @@ def two_wins(t: Transcript, p: LargenessParams) -> ThreeVal:
 class Selection(Record):
     __slots__ = ("indices",)
 
-    def __init__(self, indices: tuple[int, ...]) -> None:
-        object.__setattr__(self, "indices", indices)
-
 
 class NotFound(Record):
     __slots__ = ("reason",)
@@ -320,19 +317,9 @@ class DecidedAll(Record):
 
     __slots__ = ("terminal", "picks", "table")
 
-    def __init__(self, terminal: Subfamily, picks: Subfamily,
-                 table: tuple[tuple[Stem, str], ...]) -> None:
-        object.__setattr__(self, "terminal", terminal)
-        object.__setattr__(self, "picks", picks)
-        object.__setattr__(self, "table", table)
-
 
 class DecideAllFailed(Record):
     __slots__ = ("inning", "reason")
-
-    def __init__(self, inning: Optional[int], reason: str) -> None:
-        object.__setattr__(self, "inning", inning)
-        object.__setattr__(self, "reason", reason)
 
 
 def decide_all_finite(t: Stem, B: Subfamily, R: Region, innings: int,

@@ -102,23 +102,53 @@ def subsets_lazy(pool: Iterable[int], min_size: int = 0) -> Iterator[tuple[int, 
 class Record:
     """Base of the engine's immutable value records.
 
-    A record class names its fields in `__slots__`, in declaration order, and
-    writes an `__init__` that validates its arguments and sets each field
-    with `object.__setattr__`; `_trusted` builds one without that check.
-    Records print as `Name(field=value, ...)`, are equal when they are of one
-    class with equal field tuples, hash as their field tuple, refuse
-    assignment and deletion, and copy and pickle by calling their class with
-    their field values.  Records used as cache keys define `__eq__` and
-    `__hash__` over their fields inline, which is faster than the generic
-    pair here.
+    A record class names its fields in `__slots__`, in declaration order.
+    `Record.__init__` binds them by position, then by field name, and raises
+    `TypeError` for a field that is missing, unknown, given twice or one too
+    many; a class writes its own `__init__` only to check or default a field,
+    and sets each field there with `object.__setattr__`.  `_trusted` builds
+    one without any check.  Records print as `Name(field=value, ...)`, are
+    equal when they are of one class with equal field tuples, hash as their
+    field tuple, refuse assignment and deletion, and copy and pickle by
+    calling their class with their field values.  Records used as cache keys
+    (`Universe`, `Family`, `Subfamily`, `LargenessParams`, `EllentuckBasic`
+    and the five composable regions) define `__eq__` and `__hash__` over
+    their fields inline: a warm session query is a memo hit that hashes and
+    compares its region key, and with the generic pair in the six
+    `ellentuck` classes, `session_shared`'s latency_p50_ms rose in 7 of 8
+    alternating pairs of runs, by up to 15%.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        # each field's slot descriptor setter, which `_trusted` calls directly
+        # each field's slot descriptor setter, which `__init__` and `_trusted` call
         cls._slot_setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
+
+    def __init__(self, *values, **named) -> None:
+        setters = self._slot_setters
+        if named or len(values) != len(setters):
+            values = self._bind(values, named)
+        for setter, value in zip(setters, values):
+            setter(self, value)
+
+    @classmethod
+    def _bind(cls, values: tuple, named: dict) -> tuple:
+        """The field values in `__slots__` order: `values`, then `named`."""
+        names = cls.__slots__
+        if len(values) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments "
+                            f"but {len(values)} were given")
+        rest = names[len(values):]
+        for name in named:
+            if name not in rest:
+                problem = "multiple values for" if name in names else "an unexpected keyword"
+                raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        for name in rest:
+            if name not in named:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        return values + tuple([named[name] for name in rest])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -197,6 +227,9 @@ class Family(Record):
                 raise StructuralError(f"member {i} must be a frozenset")
             if not m:
                 raise StructuralError(f"member {i} is empty")
+            for x in m:
+                if type(x) is not int:
+                    raise StructuralError(f"member {i} has point {x!r}, which is not an integer")
             if not m <= pts:
                 raise StructuralError(f"member {i} has points outside the universe")
             if m == pts:
@@ -261,7 +294,9 @@ class Subfamily(Record):
         n = len(family)
         last = 0
         for i in indices:
-            if not isinstance(i, int) or not 1 <= i <= n:
+            if type(i) is not int:
+                raise StructuralError(f"index {i!r} is not an integer")
+            if not 1 <= i <= n:
                 raise StructuralError(f"index {i!r} out of range 1..{n}")
             if i <= last:
                 raise StructuralError("indices must be strictly increasing")
@@ -315,6 +350,9 @@ class LargenessParams(Record):
     __slots__ = ("d", "min_size", "search_bound")
 
     def __init__(self, d: int, min_size: int, search_bound: int = 1_000_000) -> None:
+        for name, value in (("d", d), ("min_size", min_size), ("search_bound", search_bound)):
+            if type(value) is not int:
+                raise StructuralError(f"largeness {name} {value!r} is not an integer")
         if d < 1:
             raise StructuralError("cover depth d must be >= 1")
         if min_size < 1:

@@ -159,12 +159,6 @@ class PartitionTree(Record):
 
     __slots__ = ("family", "depth", "nodes")
 
-    def __init__(self, family: Family, depth: int,
-                 nodes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "nodes", nodes)
-
     def node(self, path: tuple[int, ...]) -> tuple[int, ...]:
         found = dict(self.nodes).get(path)
         if found is None:
@@ -183,13 +177,6 @@ class BranchResult(Record):
     """
 
     __slots__ = ("family", "pivots", "colors", "domain")
-
-    def __init__(self, family: Family, pivots: tuple[int, ...], colors: tuple[int, ...],
-                 domain: tuple[int, ...]) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "colors", colors)
-        object.__setattr__(self, "domain", domain)
 
 
 def _domain(family: Family, domain: Optional[Sequence[int]]) -> tuple[int, ...]:
@@ -384,13 +371,6 @@ class PartitionResult(Record):
     """A verified monochromatic set, its color, and how it was found."""
 
     __slots__ = ("subfamily", "color", "admissible", "route")
-
-    def __init__(self, subfamily: Subfamily, color: int, admissible: ThreeVal,
-                 route: str) -> None:
-        object.__setattr__(self, "subfamily", subfamily)
-        object.__setattr__(self, "color", color)
-        object.__setattr__(self, "admissible", admissible)
-        object.__setattr__(self, "route", route)
 
 
 def _exhaustive_mono(family: Family, f: Coloring, domain: tuple[int, ...],
@@ -849,14 +829,6 @@ class Step(Record):
 
     __slots__ = ("k", "node_path", "node", "escape", "continuation")
 
-    def __init__(self, k: int, node_path: tuple[int, ...], node: tuple[int, ...],
-                 escape: int, continuation: Subfamily) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "node_path", node_path)
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "escape", escape)
-        object.__setattr__(self, "continuation", continuation)
-
 
 class NoStep(Record):
     """No level within the tree depth splits the candidate set."""
@@ -868,9 +840,6 @@ class LargenessFailure(Record):
     """A level split the set, but no admissible node met it admissibly."""
 
     __slots__ = ("k",)
-
-    def __init__(self, k: int) -> None:
-        object.__setattr__(self, "k", k)
 
 
 def counterexample_step(B: Subfamily, tree: PartitionTree,

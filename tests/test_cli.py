@@ -101,6 +101,9 @@ COLORING_READERS = [
     ["tree-build", "--family", fx("family_tree4.json"), "--coloring", BAD],
     ["oracle-homogeneous", "--family", fx("family_tree4.json"), "--coloring", BAD]]
 
+#: family_quads6.json on one line
+QUADS6 = json.dumps(json.loads((FIXTURES / "family_quads6.json").read_text())).encode()
+
 #: the parts of partition_pairs8.json on one line
 PAIRS8_PARTITION = json.dumps(
     json.loads((FIXTURES / "partition_pairs8.json").read_text())).encode()
@@ -190,6 +193,11 @@ class TestMalformedInput:
         # every key is an index set of the family
         *[(TREE4_OUTSIDE_KEY, argv) for argv in COLORING_READERS],
         *[(TREE4_FLOAT_KEY, argv) for argv in COLORING_READERS],
+        # a family point must be an integer: true and 1.0 used to pass for 1
+        (QUADS6.replace(b"[[1, 2, 3, 4]", b"[[true, 2, 3, 4]"),
+         ["cover-check", "--family", BAD] + SUB),
+        (QUADS6.replace(b"[[1, 2, 3, 4]", b"[[1.0, 2, 3, 4]"),
+         ["cover-check", "--family", BAD] + SUB),
     ], ids=["members-not-a-list", "nested-sub", "directory-as-family", "not-utf8",
             "tree-build-d0", "mathias-extends-d0", "region-sets-not-a-list",
             "basic-without-reservoir", "stem-not-a-list", "partition-part-not-a-list",
@@ -201,7 +209,7 @@ class TestMalformedInput:
             "true-key-tree", "true-key-oracle", "repeated-key-solve",
             "repeated-key-tree", "repeated-key-oracle", "outside-key-solve",
             "outside-key-tree", "outside-key-oracle", "float-key-solve",
-            "float-key-tree", "float-key-oracle"])
+            "float-key-tree", "float-key-oracle", "bool-point", "float-point"])
     def test_one_error_line_and_exit_one(self, tmp_path, content, argv):
         bad = tmp_path
         if content is not None:

@@ -69,6 +69,11 @@ class TestBasics:
         b2 = EllentuckBasic((3,), Subfamily.of(grid5, [5, 6]))
         assert not basic_contains(b2, Subfamily.of(grid5, [1, 3, 5]))
 
+    def test_as_stem_refuses_a_bool(self):
+        # True passes for 1 in `==` and used to be kept as given
+        with pytest.raises(StructuralError, match="^stem entry True is not a positive index$"):
+            as_stem([True, 3])
+
     def test_basic_needs_order(self, grid5):
         with pytest.raises(ContractError):
             EllentuckBasic((4,), Subfamily.of(grid5, [3, 7]))

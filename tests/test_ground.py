@@ -182,6 +182,38 @@ class TestJsonRoundTrip:
             Family.from_json({"universe": 4})
 
 
+class TestExactIntegers:
+    """`True` and `1.0` equal 1 and hash like it, so each would be stored as
+    given, or be answered from the memo entry of the int it equals."""
+
+    @pytest.mark.parametrize("point", [True, 1.0], ids=["bool", "float"])
+    def test_family_points(self, point):
+        members = [[point, 2, 3], [2, 4]]
+        with pytest.raises(StructuralError, match=r"^member 1 has point .*not an integer$"):
+            Family.of(4, members)
+        with pytest.raises(StructuralError, match="not an integer"):
+            Family.from_json({"universe": 4, "members": members})
+
+    def test_subfamily_indices(self, twelve6):
+        with pytest.raises(StructuralError, match=r"^index True is not an integer$"):
+            Subfamily(twelve6, (True, 2))
+        with pytest.raises(StructuralError, match=r"^index 2.0 is not an integer$"):
+            Subfamily.of(twelve6, [2.0, 3])
+
+    @pytest.mark.parametrize("args, shown", [
+        ((1.0, 3), "d 1.0"),
+        ((True, 3), "d True"),
+        ((1, 3.0), "min_size 3.0"),
+        ((1, 3, 500.0), "search_bound 500.0"),
+        ((1, 3, True), "search_bound True"),
+    ])
+    def test_largeness_params(self, quads6, args, shown):
+        # refused with the memo entry of the equal ints filled
+        admissible(Subfamily.full(quads6), LargenessParams(*[int(a) for a in args]))
+        with pytest.raises(StructuralError, match=f"^largeness {shown} is not an integer$"):
+            LargenessParams(*args)
+
+
 class TestThreeVal:
     def test_no_bool_coercion(self):
         with pytest.raises(TypeError):

@@ -220,6 +220,8 @@ class TestDomainWalk:
         ((3, 2, 3), "indices must be strictly increasing"),
         ((0, 1, 2, 3), "index 0 out of range 1..12"),
         ((1, 2, 13), "index 13 out of range 1..12"),
+        # True passes for 1 in `==` and was walked as a pivot
+        ((True, 2, 3, 4, 5), "index True is not an integer"),
     ])
     def test_a_given_domain_is_an_index_set_of_the_family(self, twelve6, p_pairs,
                                                           domain, message):

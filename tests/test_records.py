@@ -229,6 +229,42 @@ def test_too_many_arguments_is_a_type_error():
         ground.Universe(5, 6)
 
 
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_unknown_repeated_or_extra_arguments_are_type_errors(cls):
+    make, fields = RECORDS[cls]
+    given = values(make(), fields)
+    with pytest.raises(TypeError):
+        cls(*given, no_such_field=1)
+    with pytest.raises(TypeError):
+        cls(*given, None)
+    if fields:
+        with pytest.raises(TypeError):
+            cls(*given, **{fields[0]: given[0]})
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_positional_then_keyword_arguments(cls):
+    make, fields = RECORDS[cls]
+    x = make()
+    given = values(x, fields)
+    for cut in range(len(fields) + 1):
+        assert cls(*given[:cut], **dict(zip(fields[cut:], given[cut:]))) == x
+
+
+def test_only_checking_or_defaulting_classes_write_a_constructor():
+    # every other record takes `Record.__init__`, which stores its arguments
+    own = {cls.__name__ for cls in CLASSES + [ellentuck.PredicateRegion]
+           if "__init__" in vars(cls)}
+    assert own == {
+        "Universe", "Family", "Subfamily", "LargenessParams", "CoverVerdict",
+        "EllentuckBasic", "MeagerPresentation", "PredicateRegion", "Transcript",
+        "NotFound", "FiniteSetFamily", "Condition", "Chain",
+    }
+    for cls in CLASSES:
+        if cls.__name__ not in own:
+            assert cls.__init__ is ground.Record.__init__
+
+
 def test_no_equality_across_classes_with_the_same_values():
     outcomes = [ellentuck.DecideOutcome("accepts", SUB), ellentuck.CrOutcome("accepts", SUB),
                 ellentuck.NwdOutcome("accepts", SUB), barriers.FgOutcome("accepts", SUB)]
